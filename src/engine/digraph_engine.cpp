@@ -332,20 +332,12 @@ DiGraphEngine::run(const algorithms::Algorithm &algo,
                 // activation fan-out.
                 merge_timer.begin();
                 if (nthreads == 1 || outcomes.size() == 1) {
-                    for (auto &outcome : outcomes) {
-                        if (lane_algo)
-                            commitLaneDeltas(outcome);
-                        else
-                            commitDeltas(outcome);
-                    }
+                    for (const auto &outcome : outcomes)
+                        commitDeltas(outcome);
                 } else {
                     pool_->forEachIndex(
-                        outcomes.size(), [&](std::size_t i) {
-                            if (lane_algo)
-                                commitLaneDeltas(outcomes[i]);
-                            else
-                                commitDeltas(outcomes[i]);
-                        });
+                        outcomes.size(),
+                        [&](std::size_t i) { commitDeltas(outcomes[i]); });
                 }
                 merge_timer.end();
             }

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -85,11 +84,12 @@ struct DispatchOutcome
      *  delta-merge kernels, which commit the overlay directly. */
     std::vector<std::pair<VertexId, Value>> pushes;
     /** Privately merged master values (wave-start master + own
-     *  pushes); the barrier compares these against the committed
-     *  masters to decide whether this partition's own mirrors went
-     *  stale (another wave member also pushed the vertex). Under the
-     *  delta merge this IS what gets committed. */
-    std::unordered_map<VertexId, Value> overlay;
+     *  pushes; K-wide stripes on lane runs), sealed (sorted by vertex)
+     *  before the barrier. The barrier compares these against the
+     *  committed masters to decide whether this partition's own mirrors
+     *  went stale (another wave member also pushed the vertex). Under
+     *  the delta merge this IS what gets committed. */
+    MasterOverlay overlay;
     /** Activation-worthy master changes accumulated across the local
      *  rounds (sorted/deduplicated; delta-merge kernels only — the
      *  ordered replay recomputes this from the push log). */
@@ -98,9 +98,6 @@ struct DispatchOutcome
      *  changed (parallel to the fan-out's changed list; filled by the
      *  lane delta accumulation AND by the ordered lane replay). */
     std::vector<std::uint64_t> changed_lanes;
-    /** Lane-mode twin of `overlay`: K-wide stripes per touched master
-     *  (unused on scalar runs). */
-    LaneOverlay lane_overlay;
     /** Lane-mode twin of `pushes`: (vertex, lane, push) in generation
      *  order. */
     std::vector<LanePush> lane_pushes;
@@ -307,13 +304,10 @@ class DiGraphEngine
                         metrics::RunReport &report);
 
     /** Lock-free parallel commit of a delta-merge outcome: store the
-     *  overlay values into the masters. Race-free without locks because
-     *  the chunk's partitions are vertex-disjoint by construction. */
-    void commitDeltas(DispatchOutcome &outcome);
-
-    /** Lane-mode commitDeltas(): stores the K-wide overlay stripes into
-     *  the lane masters (same vertex-disjointness argument). */
-    void commitLaneDeltas(DispatchOutcome &outcome);
+     *  overlay values (K-wide stripes on lane runs) into the masters.
+     *  Race-free without locks because the chunk's partitions are
+     *  vertex-disjoint by construction. */
+    void commitDeltas(const DispatchOutcome &outcome);
 
     // --- fault tolerance (implemented in fault_recovery.cpp; all
     // methods are serial-phase only — see DESIGN.md §10) ---

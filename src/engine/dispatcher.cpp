@@ -237,9 +237,11 @@ Dispatcher::nextChunk(const std::vector<PartitionId> &batch,
 void
 Dispatcher::orderByPriority(
     std::vector<PathId> &active_paths,
-    const std::vector<std::uint32_t> &active_counts) const
+    const std::vector<std::uint32_t> &active_counts,
+    RoundScratch &scratch) const
 {
-    std::vector<std::size_t> idx(active_paths.size());
+    auto &idx = scratch.idx;
+    idx.resize(active_paths.size());
     std::iota(idx.begin(), idx.end(), 0);
     std::stable_sort(idx.begin(), idx.end(),
                      [&](std::size_t a, std::size_t b) {
@@ -255,7 +257,8 @@ Dispatcher::orderByPriority(
                              static_cast<double>(pre_->path_layer[pb]);
                          return pri_a > pri_b;
                      });
-    std::vector<PathId> ordered(active_paths.size());
+    auto &ordered = scratch.ordered;
+    ordered.resize(active_paths.size());
     for (std::size_t i = 0; i < idx.size(); ++i)
         ordered[i] = active_paths[idx[i]];
     active_paths.swap(ordered);
@@ -267,7 +270,7 @@ Dispatcher::roundCost(const EngineOptions &options,
                       const std::vector<PathId> &active_paths,
                       const std::vector<std::uint64_t> &processed_edges,
                       std::uint64_t proxy_pushes,
-                      std::uint64_t atomic_pushes,
+                      std::uint64_t atomic_pushes, RoundScratch &scratch,
                       const std::vector<std::uint64_t> *extra_lane_edges,
                       double per_lane_cycles) const
 {
@@ -280,7 +283,8 @@ Dispatcher::roundCost(const EngineOptions &options,
     const double skip_frac = options.platform.cycles_per_global_access *
                              options.platform.coalesced_factor /
                              per_edge_cycles;
-    std::vector<std::uint64_t> path_work(active_paths.size());
+    auto &path_work = scratch.path_work;
+    path_work.resize(active_paths.size());
     for (std::size_t ap = 0; ap < active_paths.size(); ++ap) {
         const std::uint64_t len = pre_->paths.pathLength(active_paths[ap]);
         const std::uint64_t skipped =
@@ -299,13 +303,15 @@ Dispatcher::roundCost(const EngineOptions &options,
         }
         path_work[ap] = work;
     }
-    std::stable_sort(path_work.begin(), path_work.end(),
-                     std::greater<>());
+    // Equal integer keys are indistinguishable, so an unstable sort
+    // yields the same sequence as a stable one.
+    std::sort(path_work.begin(), path_work.end(), std::greater<>());
     const unsigned max_groups =
         options.work_stealing ? options.platform.smx_per_device : 1;
     const unsigned n_bins = static_cast<unsigned>(std::min<std::size_t>(
         path_work.size(), static_cast<std::size_t>(lanes) * max_groups));
-    std::vector<std::uint64_t> bins(std::max(1u, n_bins), 0);
+    auto &bins = scratch.bins;
+    bins.assign(std::max(1u, n_bins), 0);
     for (std::size_t i = 0; i < path_work.size(); ++i)
         bins[i % bins.size()] += path_work[i];
     // Pushes are issued by all participating threads in parallel;
@@ -321,8 +327,9 @@ Dispatcher::roundCost(const EngineOptions &options,
     const unsigned groups = (n_bins + lanes - 1) / lanes;
     std::vector<double> group_cycles;
     group_cycles.reserve(std::max(1u, groups));
+    auto &group = scratch.group;
     for (unsigned k = 0; k < std::max(1u, groups); ++k) {
-        std::vector<std::uint64_t> group(
+        group.assign(
             bins.begin() +
                 std::min<std::size_t>(bins.size(), k * lanes),
             bins.begin() +

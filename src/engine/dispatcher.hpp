@@ -27,6 +27,18 @@
 
 namespace digraph::engine {
 
+/** Buffers orderByPriority() and roundCost() reuse across rounds. The
+ *  Dispatcher is shared read-only by concurrent dispatches and jobs, so
+ *  each caller owns its scratch (one per host worker thread). */
+struct RoundScratch
+{
+    std::vector<std::size_t> idx;
+    std::vector<PathId> ordered;
+    std::vector<std::uint64_t> path_work;
+    std::vector<std::uint64_t> bins;
+    std::vector<std::uint64_t> group;
+};
+
 class Dispatcher
 {
   public:
@@ -76,8 +88,8 @@ class Dispatcher
      * layer(p). @p active_counts is parallel to the incoming order.
      */
     void orderByPriority(std::vector<PathId> &active_paths,
-                         const std::vector<std::uint32_t> &active_counts)
-        const;
+                         const std::vector<std::uint32_t> &active_counts,
+                         RoundScratch &scratch) const;
 
     /**
      * Simulated cost of one local round: paths are packed into lane
@@ -101,6 +113,7 @@ class Dispatcher
               const std::vector<PathId> &active_paths,
               const std::vector<std::uint64_t> &processed_edges,
               std::uint64_t proxy_pushes, std::uint64_t atomic_pushes,
+              RoundScratch &scratch,
               const std::vector<std::uint64_t> *extra_lane_edges =
                   nullptr,
               double per_lane_cycles = 0.0) const;

@@ -277,6 +277,8 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
         wl.clear();
     for (auto &queue : plane_.stale_queue)
         queue.clear();
+    std::fill(plane_.stale_mark.begin(), plane_.stale_mark.end(),
+              std::uint64_t{0});
     for (auto &dirty : plane_.partition_dirty)
         dirty.reset();
     std::fill(plane_.partition_active.begin(),

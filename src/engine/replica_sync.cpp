@@ -2,10 +2,30 @@
 
 #include <algorithm>
 
-#include "engine/replica_sync_impl.hpp"
 #include "engine/value_plane.hpp"
 
 namespace digraph::engine {
+
+void
+MasterOverlay::seal()
+{
+    if (index == nullptr)
+        return;
+    // The index still maps each vertex to its first-touch entry, so the
+    // value stripes are gathered into vertex order after the vertices
+    // are sorted in place.
+    std::sort(vertices.begin(), vertices.end());
+    std::vector<Value> sorted(values.size());
+    for (std::size_t i = 0; i < vertices.size(); ++i) {
+        std::uint32_t &entry = index[vertices[i]];
+        const Value *src =
+            values.data() + static_cast<std::size_t>(entry) * width;
+        std::copy(src, src + width, sorted.data() + i * width);
+        entry = kNoOverlayEntry;
+    }
+    values.swap(sorted);
+    index = nullptr;
+}
 
 void
 ReplicaSync::build(const partition::Preprocessed &pre,
@@ -98,12 +118,21 @@ void
 ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
                                std::uint64_t slot_lo,
                                std::uint64_t slot_hi,
-                               std::vector<VertexId> &stale_vertices) const
+                               std::vector<VertexId> &stale_vertices,
+                               std::vector<std::uint64_t> *stale_lanes) const
 {
+    // The queue holds each vertex once (fanOutChanged queues a pair only
+    // when its mark was clear), so sorting yields exactly the
+    // sort + unique of every fan-out since this partition last ran; the
+    // mark carries the OR of their changed-lane masks. Partitions are
+    // vertex-disjoint within a chunk, so concurrent dispatches clear
+    // different marks.
     auto &queue = plane.stale_queue[p];
     std::sort(queue.begin(), queue.end());
-    queue.erase(std::unique(queue.begin(), queue.end()), queue.end());
     for (const VertexId v : queue) {
+        std::uint64_t &mark = plane.stale_mark[mirrorEntry(v, p)];
+        const std::uint64_t lanes_mask = mark;
+        mark = 0;
         bool any_stale = false;
         const auto occ_begin =
             occur_slots_.begin() +
@@ -118,61 +147,51 @@ ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
                 plane.master_version[v]) {
                 any_stale = true;
                 plane.slot_seen_version[slot] = plane.master_version[v];
-                if (is_src_slot_[slot])
+                if (!is_src_slot_[slot])
+                    continue;
+                if (stale_lanes != nullptr)
+                    plane.activateSlotLanesMask(slot, lanes_mask);
+                else
                     plane.activateSlot(slot);
             }
         }
-        if (any_stale)
+        if (any_stale) {
             stale_vertices.push_back(v);
+            if (stale_lanes != nullptr)
+                stale_lanes->push_back(lanes_mask);
+        }
     }
     queue.clear();
-}
-
-PushStats
-ReplicaSync::pushDirtyMirrors(
-    ValuePlane &plane, PartitionId p, const algorithms::Algorithm &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold,
-    std::unordered_map<VertexId, Value> &overlay,
-    std::vector<std::pair<VertexId, Value>> &pushes,
-    std::vector<VertexId> &changed) const
-{
-    // Virtual-dispatch wrapper over the shared template (single source
-    // of truth for the batch merge — see replica_sync_impl.hpp).
-    return pushDirtyMirrorsT<algorithms::Algorithm, true>(
-        plane, p, algo, g, use_proxy, proxy_indegree_threshold, overlay,
-        pushes, changed);
-}
-
-void
-ReplicaSync::refreshLocalMirrors(
-    ValuePlane &plane, const algorithms::Algorithm &algo,
-    std::uint64_t slot_lo, std::uint64_t slot_hi,
-    const std::unordered_map<VertexId, Value> &overlay,
-    const std::vector<VertexId> &changed) const
-{
-    refreshLocalMirrorsT<algorithms::Algorithm>(plane, algo, slot_lo,
-                                                slot_hi, overlay, changed);
 }
 
 void
 ReplicaSync::fanOutChanged(
     ValuePlane &plane, PartitionId p,
     const std::vector<VertexId> &changed,
-    const std::unordered_map<VertexId, Value> &overlay,
+    std::span<const std::uint64_t> changed_lanes,
+    const MasterOverlay &overlay,
     std::vector<PartitionId> &activated_parts) const
 {
-    for (const VertexId v : changed) {
-        const Value master = plane.storage.vVal(v);
-        const auto ov = overlay.find(v);
+    const unsigned lanes = plane.lane_count;
+    const unsigned width = lanes > 0 ? lanes : 1;
+    for (std::size_t i = 0; i < changed.size(); ++i) {
+        const VertexId v = changed[i];
+        const Value *master =
+            lanes > 0 ? &plane.lane_v[static_cast<std::size_t>(v) * lanes]
+                      : &plane.storage.vVal(v);
+        const Value *ov = overlay.find(v);
         const bool self_current =
-            ov != overlay.end() && ov->second == master;
+            ov != nullptr && std::equal(ov, ov + width, master);
+        const std::uint64_t mask =
+            changed_lanes.empty() ? 1 : changed_lanes[i];
         for (std::uint64_t k = mirror_offsets_[v];
              k < mirror_offsets_[v + 1]; ++k) {
             const PartitionId part = mirror_parts_[k];
             if (part == p && self_current)
                 continue;
-            plane.stale_queue[part].push_back(v);
+            if (plane.stale_mark[k] == 0)
+                plane.stale_queue[part].push_back(v);
+            plane.stale_mark[k] |= mask;
         }
         for (std::uint64_t k = consumer_offsets_[v];
              k < consumer_offsets_[v + 1]; ++k) {
@@ -202,95 +221,6 @@ ReplicaSync::activateVertexLane(ValuePlane &plane, VertexId v,
         if (is_src_slot_[slot]) {
             plane.activateSlotLane(slot, lane);
             plane.partition_active[partitionOfSlot(slot)] = 1;
-        }
-    }
-}
-
-void
-ReplicaSync::convertStaleQueueLanes(
-    ValuePlane &plane, PartitionId p, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, std::vector<VertexId> &stale_vertices,
-    std::vector<std::uint64_t> &stale_lanes) const
-{
-    auto &queue = plane.stale_queue[p];
-    auto &queue_lanes = plane.stale_queue_lanes[p];
-    // Dedup like the scalar queue, OR-merging the lane masks of
-    // repeated entries (the same master may change in different lanes
-    // across waves before this partition runs).
-    sortMergeChangedLanes(queue, queue_lanes);
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        const VertexId v = queue[i];
-        const std::uint64_t lanes_mask = queue_lanes[i];
-        bool any_stale = false;
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
-            if (plane.slot_seen_version[slot] !=
-                plane.master_version[v]) {
-                any_stale = true;
-                plane.slot_seen_version[slot] = plane.master_version[v];
-                if (is_src_slot_[slot])
-                    plane.activateSlotLanesMask(slot, lanes_mask);
-            }
-        }
-        if (any_stale) {
-            stale_vertices.push_back(v);
-            stale_lanes.push_back(lanes_mask);
-        }
-    }
-    queue.clear();
-    queue_lanes.clear();
-}
-
-void
-ReplicaSync::fanOutChangedLanes(
-    ValuePlane &plane, PartitionId p,
-    const std::vector<VertexId> &changed,
-    const std::vector<std::uint64_t> &changed_lanes,
-    const LaneOverlay &overlay,
-    std::vector<PartitionId> &activated_parts) const
-{
-    const unsigned lanes = plane.lane_count;
-    for (std::size_t i = 0; i < changed.size(); ++i) {
-        const VertexId v = changed[i];
-        const Value *master =
-            &plane.lane_v[static_cast<std::size_t>(v) * lanes];
-        const Value *ov = overlay.find(v, lanes);
-        bool self_current = ov != nullptr;
-        if (self_current) {
-            for (unsigned l = 0; l < lanes; ++l) {
-                if (ov[l] != master[l]) {
-                    self_current = false;
-                    break;
-                }
-            }
-        }
-        for (std::uint64_t k = mirror_offsets_[v];
-             k < mirror_offsets_[v + 1]; ++k) {
-            const PartitionId part = mirror_parts_[k];
-            if (part == p && self_current)
-                continue;
-            plane.stale_queue[part].push_back(v);
-            plane.stale_queue_lanes[part].push_back(changed_lanes[i]);
-        }
-        for (std::uint64_t k = consumer_offsets_[v];
-             k < consumer_offsets_[v + 1]; ++k) {
-            const PartitionId part = consumer_parts_[k];
-            if (part == p) {
-                if (!self_current)
-                    plane.partition_active[p] = 1;
-                continue;
-            }
-            if (!plane.partition_active[part]) {
-                plane.partition_active[part] = 1;
-                activated_parts.push_back(part);
-            }
         }
     }
 }

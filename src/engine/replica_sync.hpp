@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,43 +37,82 @@ struct PushStats
     std::uint64_t atomic_pushes = 0;
 };
 
-/**
- * K-wide private master overlay of one lane dispatch (the lane-mode
- * counterpart of the scalar unordered_map<VertexId, Value> overlay):
- * per touched vertex, one contiguous stripe of K lane values, copied
- * from the committed lane masters on first touch.
- */
-struct LaneOverlay
-{
-    /** Vertex -> stripe index into values (stripe = index * K). */
-    std::unordered_map<VertexId, std::uint32_t> index;
-    /** Stripe pool, K values per entry. */
-    std::vector<Value> values;
+/** Dense-index sentinel: the vertex has no entry in an open overlay. */
+inline constexpr std::uint32_t kNoOverlayEntry = UINT32_MAX;
 
-    /** Stripe of @p v, inserted from @p committed (K values) on
-     *  first touch. */
-    Value *
-    stripe(VertexId v, unsigned k, const Value *committed)
+/**
+ * Private master overlay of one dispatch: per touched master, one stripe
+ * of `width` values (1 on scalar runs, K on lane runs), copied from the
+ * committed master on first touch and merged into by the dispatch's own
+ * pushes.
+ *
+ * While the dispatch computes, the overlay is *open*: lookups go through
+ * a dense vertex -> entry index (ValuePlane::overlay_index). The index is
+ * shared by every dispatch of a wave chunk, which is race-free because
+ * the chunk's partitions are vertex-disjoint: each dispatch reads and
+ * writes only its own vertices' entries. seal() sorts the entries by
+ * vertex and resets the index entries it set (O(touched)); the wave
+ * barrier (commit, fan-out, fault journal) reads the sealed entries.
+ */
+struct MasterOverlay
+{
+    /** Touched masters: first-touch order while open, ascending once
+     *  sealed. */
+    std::vector<VertexId> vertices;
+    /** Stripe pool, `width` values per entry (parallel to vertices). */
+    std::vector<Value> values;
+    /** Values per entry. */
+    unsigned width = 1;
+    /** Dense vertex -> entry index while open; nullptr once sealed. */
+    std::uint32_t *index = nullptr;
+
+    /** Open for a dispatch over @p dense_index (all kNoOverlayEntry on
+     *  the vertices this dispatch will touch). */
+    void
+    open(std::uint32_t *dense_index, unsigned stripe_width)
     {
-        const auto [it, inserted] = index.try_emplace(
-            v, static_cast<std::uint32_t>(values.size() / k));
-        if (inserted)
-            values.insert(values.end(), committed, committed + k);
-        return values.data() + static_cast<std::size_t>(it->second) * k;
+        index = dense_index;
+        width = stripe_width;
+    }
+
+    /** Stripe of @p v, inserted from @p committed (width values) on
+     *  first touch. Open overlays only. */
+    Value *
+    stripe(VertexId v, const Value *committed)
+    {
+        std::uint32_t &entry = index[v];
+        if (entry == kNoOverlayEntry) {
+            entry = static_cast<std::uint32_t>(vertices.size());
+            vertices.push_back(v);
+            values.insert(values.end(), committed, committed + width);
+        }
+        return values.data() + static_cast<std::size_t>(entry) * width;
     }
 
     /** Stripe of @p v, or nullptr when untouched. */
     const Value *
-    find(VertexId v, unsigned k) const
+    find(VertexId v) const
     {
-        const auto it = index.find(v);
-        return it == index.end()
+        if (index != nullptr) {
+            const std::uint32_t entry = index[v];
+            return entry == kNoOverlayEntry
+                       ? nullptr
+                       : values.data() +
+                             static_cast<std::size_t>(entry) * width;
+        }
+        const auto it =
+            std::lower_bound(vertices.begin(), vertices.end(), v);
+        return it == vertices.end() || *it != v
                    ? nullptr
                    : values.data() +
-                         static_cast<std::size_t>(it->second) * k;
+                         static_cast<std::size_t>(it - vertices.begin()) *
+                             width;
     }
 
-    bool empty() const { return index.empty(); }
+    /** Sort the entries by vertex and release the dense index. */
+    void seal();
+
+    bool empty() const { return vertices.empty(); }
 };
 
 /** One entry of a lane dispatch's master push log (ordered replay). */
@@ -87,13 +125,13 @@ struct LanePush
 
 /** Sort @p changed ascending and OR-merge duplicate vertices' masks in
  *  the parallel @p changed_lanes — the lane twin of the sort + unique
- *  a scalar changed-vertex list gets. */
+ *  a scalar changed-vertex list gets. @p pairs is reused scratch. */
 inline void
 sortMergeChangedLanes(std::vector<VertexId> &changed,
-                      std::vector<std::uint64_t> &changed_lanes)
+                      std::vector<std::uint64_t> &changed_lanes,
+                      std::vector<std::pair<VertexId, std::uint64_t>> &pairs)
 {
-    std::vector<std::pair<VertexId, std::uint64_t>> pairs;
-    pairs.reserve(changed.size());
+    pairs.clear();
     for (std::size_t i = 0; i < changed.size(); ++i)
         pairs.emplace_back(changed[i], changed_lanes[i]);
     std::sort(pairs.begin(), pairs.end(),
@@ -170,6 +208,26 @@ class ReplicaSync
     /** Total E_idx slots covered by the indexes. */
     std::size_t numSlots() const { return path_of_slot_.size(); }
 
+    /** Entries of the mirror-partition CSR: one per (vertex, mirroring
+     *  partition) pair — the index space of ValuePlane::stale_mark. */
+    std::size_t numMirrorEntries() const { return mirror_parts_.size(); }
+
+    /** Mirror-CSR position of the pair (@p v, @p p), or
+     *  numMirrorEntries() when @p p holds no occurrence of @p v. */
+    std::uint64_t
+    mirrorEntry(VertexId v, PartitionId p) const
+    {
+        const auto begin = mirror_parts_.begin() +
+                           static_cast<std::ptrdiff_t>(mirror_offsets_[v]);
+        const auto end =
+            mirror_parts_.begin() +
+            static_cast<std::ptrdiff_t>(mirror_offsets_[v + 1]);
+        const auto it = std::lower_bound(begin, end, p);
+        return it != end && *it == p
+                   ? static_cast<std::uint64_t>(it - mirror_parts_.begin())
+                   : mirror_parts_.size();
+    }
+
     // --- batched sync operations (mutate only @p plane) ---
 
     /** Activate every source occurrence of @p v and mark the owning
@@ -181,13 +239,23 @@ class ReplicaSync
      * Consume partition @p p's stale-vertex queue: for each queued
      * vertex whose master version bumped since a local slot last
      * absorbed it, update the slot's seen version, activate source
-     * slots, and append the vertex to @p stale_vertices (sorted by the
-     * queue's sort; drives the ring master-refresh pulls at replay).
+     * slots, and append the vertex to @p stale_vertices (ascending;
+     * drives the ring master-refresh pulls at replay). Each entry's
+     * pending mark (ValuePlane::stale_mark) is read and cleared.
      * Replaces a dispatch-start full version scan of the slot range.
+     *
+     * Lane runs pass @p stale_lanes: a stale slot then re-activates
+     * exactly the lanes its pending mark flags as changed — one lane's
+     * progress never schedules edge work for the other K-1 lanes — and
+     * each stale vertex's mask is appended (parallel to
+     * @p stale_vertices) so the transport can delta-encode the refresh
+     * pull instead of shipping all K lane values.
      */
     void convertStaleQueue(ValuePlane &plane, PartitionId p,
                            std::uint64_t slot_lo, std::uint64_t slot_hi,
-                           std::vector<VertexId> &stale_vertices) const;
+                           std::vector<VertexId> &stale_vertices,
+                           std::vector<std::uint64_t> *stale_lanes =
+                               nullptr) const;
 
     /**
      * Mirror->master push phase over partition @p p's dirty-slot
@@ -196,30 +264,19 @@ class ReplicaSync
      * wave live in plane.storage), logs into @p pushes, and collects
      * masters whose overlaid value changed into @p changed
      * (sorted/deduplicated). Returns the proxy/atomic split.
-     */
-    PushStats
-    pushDirtyMirrors(ValuePlane &plane, PartitionId p,
-                     const algorithms::Algorithm &algo,
-                     const graph::DirectedGraph &g, bool use_proxy,
-                     std::uint32_t proxy_indegree_threshold,
-                     std::unordered_map<VertexId, Value> &overlay,
-                     std::vector<std::pair<VertexId, Value>> &pushes,
-                     std::vector<VertexId> &changed) const;
-
-    /**
-     * Static-dispatch variant of pushDirtyMirrors(): @p AlgoT is either
-     * a non-virtual kernel policy (specialized wave kernels — the merge
-     * math inlines into the batch loop) or algorithms::Algorithm (the
-     * .cpp wrapper above). @p LogPushes false skips the push log
-     * entirely (delta-merge kernels commit the overlay instead).
-     * Defined in replica_sync_impl.hpp.
+     *
+     * @p AlgoT is either a non-virtual kernel policy (specialized wave
+     * kernels — the merge math inlines into the batch loop) or
+     * algorithms::Algorithm (generic fallback). @p LogPushes false
+     * skips the push log entirely (delta-merge kernels commit the
+     * overlay instead). Defined in replica_sync_impl.hpp.
      */
     template <class AlgoT, bool LogPushes>
     PushStats
     pushDirtyMirrorsT(ValuePlane &plane, PartitionId p, const AlgoT &algo,
                       const graph::DirectedGraph &g, bool use_proxy,
                       std::uint32_t proxy_indegree_threshold,
-                      std::unordered_map<VertexId, Value> &overlay,
+                      MasterOverlay &overlay,
                       std::vector<std::pair<VertexId, Value>> &pushes,
                       std::vector<VertexId> &changed) const;
 
@@ -227,35 +284,33 @@ class ReplicaSync
      * Refresh phase: re-pull and re-activate partition-local mirrors
      * ([slot_lo, slot_hi)) of each vertex in @p changed from the
      * overlaid master (the proxy-vertex effect — accumulated results
-     * are reusable within the next local round).
+     * are reusable within the next local round). Defined in
+     * replica_sync_impl.hpp.
      */
-    void refreshLocalMirrors(
-        ValuePlane &plane, const algorithms::Algorithm &algo,
-        std::uint64_t slot_lo, std::uint64_t slot_hi,
-        const std::unordered_map<VertexId, Value> &overlay,
-        const std::vector<VertexId> &changed) const;
-
-    /** Static-dispatch variant of refreshLocalMirrors() (see
-     *  pushDirtyMirrorsT()). Defined in replica_sync_impl.hpp. */
     template <class AlgoT>
-    void refreshLocalMirrorsT(
-        ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-        std::uint64_t slot_hi,
-        const std::unordered_map<VertexId, Value> &overlay,
-        const std::vector<VertexId> &changed) const;
+    void refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
+                              std::uint64_t slot_lo, std::uint64_t slot_hi,
+                              const MasterOverlay &overlay,
+                              const std::vector<VertexId> &changed) const;
 
     /**
      * Wave-barrier activation fan-out of the committed @p changed
      * masters (serial phase): feed the stale queues of mirroring
-     * partitions and wake consumer partitions. The dispatching
-     * partition @p p skips itself only when its private @p overlay
-     * already equals the committed master (sole writer). Partitions
-     * woken from inactive are appended to @p activated_parts
-     * (unsorted; caller dedups) for the notification transfers.
+     * partitions and wake consumer partitions. A (vertex, partition)
+     * pair is queued only when its pending mark goes from 0 to
+     * non-zero, so a queue never holds a vertex twice. The dispatching
+     * partition @p p skips itself only when its sealed @p overlay
+     * already equals the committed master across every lane (sole
+     * writer). Lane runs pass the per-vertex changed-lane masks in
+     * @p changed_lanes (parallel to @p changed), OR-merged into the
+     * marks; scalar runs pass an empty span. Partitions woken from
+     * inactive are appended to @p activated_parts (unsorted; caller
+     * dedups) for the notification transfers.
      */
     void fanOutChanged(ValuePlane &plane, PartitionId p,
                        const std::vector<VertexId> &changed,
-                       const std::unordered_map<VertexId, Value> &overlay,
+                       std::span<const std::uint64_t> changed_lanes,
+                       const MasterOverlay &overlay,
                        std::vector<PartitionId> &activated_parts) const;
 
     // --- K-wide lane variants (batched multi-source mode; each is the
@@ -268,37 +323,21 @@ class ReplicaSync
     void activateVertexLane(ValuePlane &plane, VertexId v,
                             unsigned lane) const;
 
-    /** Lane variant of convertStaleQueue(): a stale slot re-activates
-     *  exactly the lanes its queue entries flagged as changed (masks
-     *  ride ValuePlane::stale_queue_lanes) — one lane's progress never
-     *  schedules edge work for the other K-1 lanes. @p stale_lanes
-     *  collects each stale vertex's changed-lane mask (parallel to
-     *  @p stale_vertices) so the transport can delta-encode the refresh
-     *  pull instead of shipping all K lane values. */
-    void convertStaleQueueLanes(ValuePlane &plane, PartitionId p,
-                                std::uint64_t slot_lo,
-                                std::uint64_t slot_hi,
-                                std::vector<VertexId> &stale_vertices,
-                                std::vector<std::uint64_t> &stale_lanes)
-        const;
-
     /** Lane variant of pushDirtyMirrorsT(): every lane of a dirty slot
      *  with a pending push merges into the K-wide @p overlay stripe;
      *  @p changed collects masters where ANY lane changed
      *  activation-worthily, with the per-vertex mask of changed lanes
-     *  in @p changed_lanes (parallel). Defined in
-     *  replica_sync_impl.hpp. */
+     *  in @p changed_lanes (parallel; @p pairs is sort scratch).
+     *  Defined in replica_sync_impl.hpp. */
     template <class AlgoT, bool LogPushes>
     PushStats
-    pushDirtyMirrorsLanesT(ValuePlane &plane, PartitionId p,
-                           const AlgoT &algo,
-                           const graph::DirectedGraph &g, bool use_proxy,
-                           std::uint32_t proxy_indegree_threshold,
-                           LaneOverlay &overlay,
-                           std::vector<LanePush> &pushes,
-                           std::vector<VertexId> &changed,
-                           std::vector<std::uint64_t> &changed_lanes)
-        const;
+    pushDirtyMirrorsLanesT(
+        ValuePlane &plane, PartitionId p, const AlgoT &algo,
+        const graph::DirectedGraph &g, bool use_proxy,
+        std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
+        std::vector<LanePush> &pushes, std::vector<VertexId> &changed,
+        std::vector<std::uint64_t> &changed_lanes,
+        std::vector<std::pair<VertexId, std::uint64_t>> &pairs) const;
 
     /** Lane variant of refreshLocalMirrorsT(): pulls every lane of the
      *  in-range mirrors from the overlaid master stripe and re-activates
@@ -307,20 +346,9 @@ class ReplicaSync
     template <class AlgoT>
     void refreshLocalMirrorsLanesT(
         ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-        std::uint64_t slot_hi, const LaneOverlay &overlay,
+        std::uint64_t slot_hi, const MasterOverlay &overlay,
         const std::vector<VertexId> &changed,
         const std::vector<std::uint64_t> &changed_lanes) const;
-
-    /** Lane variant of fanOutChanged(): the dispatching partition is
-     *  "current" only when its overlay stripe equals the committed lane
-     *  masters across ALL lanes. Stale-queue entries carry the
-     *  per-vertex changed-lane mask (@p changed_lanes parallel to
-     *  @p changed). */
-    void fanOutChangedLanes(ValuePlane &plane, PartitionId p,
-                            const std::vector<VertexId> &changed,
-                            const std::vector<std::uint64_t> &changed_lanes,
-                            const LaneOverlay &overlay,
-                            std::vector<PartitionId> &activated_parts) const;
 
     /** Host bytes of the shared indexes. */
     std::size_t memoryBytes() const;
@@ -339,8 +367,9 @@ class ReplicaSync
      *  (deduplicated; used for activation fan-out). */
     std::vector<std::uint64_t> consumer_offsets_;
     std::vector<PartitionId> consumer_parts_;
-    /** CSR: vertex -> partitions holding ANY occurrence (deduplicated;
-     *  used for the stale-vertex queue fan-out at the wave barrier). */
+    /** CSR: vertex -> partitions holding ANY occurrence (deduplicated,
+     *  ascending; used for the stale-vertex queue fan-out at the wave
+     *  barrier — a pair's position indexes ValuePlane::stale_mark). */
     std::vector<std::uint64_t> mirror_offsets_;
     std::vector<PartitionId> mirror_parts_;
 };

@@ -1,14 +1,13 @@
 /**
  * @file
  * Out-of-line definitions of ReplicaSync's static-dispatch sync
- * templates (pushDirtyMirrorsT / refreshLocalMirrorsT). Split from
- * replica_sync.hpp because they need the complete ValuePlane type,
- * which itself includes replica_sync.hpp.
+ * templates (pushDirtyMirrorsT / refreshLocalMirrorsT and their lane
+ * twins). Split from replica_sync.hpp because they need the complete
+ * ValuePlane type, which itself includes replica_sync.hpp.
  *
- * Included by the wave-body instantiation units (wave_kernel.cpp) and
- * by replica_sync.cpp for the virtual-dispatch wrappers — not by
- * general engine headers, so the templates compile exactly where they
- * are instantiated.
+ * Included by the wave-body instantiation unit (wave_kernel.cpp) — not
+ * by general engine headers, so the templates compile exactly where
+ * they are instantiated.
  */
 
 #pragma once
@@ -26,8 +25,7 @@ PushStats
 ReplicaSync::pushDirtyMirrorsT(
     ValuePlane &plane, PartitionId p, const AlgoT &algo,
     const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold,
-    std::unordered_map<VertexId, Value> &overlay,
+    std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
     std::vector<std::pair<VertexId, Value>> &pushes,
     std::vector<VertexId> &changed) const
 {
@@ -46,7 +44,7 @@ ReplicaSync::pushDirtyMirrorsT(
     for (std::size_t k = 0; k < n; ++k) {
         if (k + kPrefetchDistance < n) {
             // Gather prefetch: the master each upcoming dirty slot will
-            // try_emplace into the overlay (and the mirror pair itself).
+            // copy into the overlay (and the mirror pair itself).
             const std::uint64_t ahead = dirty_slots[k + kPrefetchDistance];
             DIGRAPH_PREFETCH(
                 &plane.storage.vVal(plane.storage.vertexAt(ahead)));
@@ -59,9 +57,8 @@ ReplicaSync::pushDirtyMirrorsT(
             continue;
         const VertexId v = plane.storage.vertexAt(s);
         const Value push = algo.pushValue(mirror, loaded);
-        const auto [it, inserted] =
-            overlay.try_emplace(v, plane.storage.vVal(v));
-        const bool master_changed = algo.mergeMaster(it->second, push);
+        Value &master = *overlay.stripe(v, &plane.storage.vVal(v));
+        const bool master_changed = algo.mergeMaster(master, push);
         loaded = mirror;
         if constexpr (LogPushes)
             pushes.emplace_back(v, push);
@@ -83,12 +80,11 @@ template <class AlgoT>
 void
 ReplicaSync::refreshLocalMirrorsT(
     ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi,
-    const std::unordered_map<VertexId, Value> &overlay,
+    std::uint64_t slot_hi, const MasterOverlay &overlay,
     const std::vector<VertexId> &changed) const
 {
     for (const VertexId v : changed) {
-        const Value master = overlay.find(v)->second;
+        const Value master = *overlay.find(v);
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);
@@ -112,9 +108,10 @@ PushStats
 ReplicaSync::pushDirtyMirrorsLanesT(
     ValuePlane &plane, PartitionId p, const AlgoT &algo,
     const graph::DirectedGraph &g, bool use_proxy,
-    std::uint32_t proxy_indegree_threshold, LaneOverlay &overlay,
+    std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
     std::vector<LanePush> &pushes, std::vector<VertexId> &changed,
-    std::vector<std::uint64_t> &changed_lanes) const
+    std::vector<std::uint64_t> &changed_lanes,
+    std::vector<std::pair<VertexId, std::uint64_t>> &pairs) const
 {
     // Stripe-wise twin of pushDirtyMirrorsT: the dirty worklist stays
     // slot-granular (one mark covers all K lanes of the written
@@ -148,8 +145,7 @@ ReplicaSync::pushDirtyMirrorsLanesT(
             const Value push = algo.pushValue(mirror[l], loaded[l]);
             if (master == nullptr) {
                 master = overlay.stripe(
-                    v, lanes,
-                    &plane.lane_v[static_cast<std::size_t>(v) * lanes]);
+                    v, &plane.lane_v[static_cast<std::size_t>(v) * lanes]);
             }
             if (algo.mergeMaster(master[l], push))
                 changed_mask |= std::uint64_t{1} << l;
@@ -167,7 +163,7 @@ ReplicaSync::pushDirtyMirrorsLanesT(
         }
     }
     dirty.reset();
-    sortMergeChangedLanes(changed, changed_lanes);
+    sortMergeChangedLanes(changed, changed_lanes, pairs);
     return stats;
 }
 
@@ -175,14 +171,14 @@ template <class AlgoT>
 void
 ReplicaSync::refreshLocalMirrorsLanesT(
     ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, const LaneOverlay &overlay,
+    std::uint64_t slot_hi, const MasterOverlay &overlay,
     const std::vector<VertexId> &changed,
     const std::vector<std::uint64_t> &changed_lanes) const
 {
     const unsigned lanes = plane.lane_count;
     for (std::size_t i = 0; i < changed.size(); ++i) {
         const VertexId v = changed[i];
-        const Value *master = overlay.find(v, lanes);
+        const Value *master = overlay.find(v);
         const auto occ_begin =
             occur_slots_.begin() +
             static_cast<std::ptrdiff_t>(occur_offsets_[v]);

@@ -21,7 +21,8 @@ ValuePlane::beginRun(const partition::Preprocessed &pre)
     path_in_worklist.assign(npaths, 0);
     partition_worklist.assign(nparts, {});
     stale_queue.assign(nparts, {});
-    stale_queue_lanes.assign(nparts, {});
+    stale_mark.assign(sync_->numMirrorEntries(), 0);
+    overlay_index.assign(storage.numVertices(), kNoOverlayEntry);
     partition_dirty.resize(nparts);
     for (PartitionId q = 0; q < nparts; ++q) {
         partition_dirty[q].bind(
@@ -201,6 +202,34 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
         if (path_in_worklist[q] && !listed[q])
             return false;
     }
+    // Stale queues: every queued (vertex, partition) pair is a mirror
+    // pair with a set mark, queued once; every set mark is queued.
+    if (stale_mark.size() != sync_->numMirrorEntries())
+        return false;
+    std::vector<std::uint8_t> queued(stale_mark.size(), 0);
+    std::size_t total_queued = 0;
+    for (PartitionId q = 0; q < pre.numPartitions(); ++q) {
+        for (const VertexId v : stale_queue[q]) {
+            const std::uint64_t k = sync_->mirrorEntry(v, q);
+            if (k == stale_mark.size() || queued[k] || stale_mark[k] == 0)
+                return false;
+            queued[k] = 1;
+            ++total_queued;
+        }
+    }
+    const std::uint64_t mark_bits = lane_count > 0 ? lane_full_mask : 1;
+    std::size_t marked = 0;
+    for (const std::uint64_t mark : stale_mark) {
+        if (mark & ~mark_bits)
+            return false;
+        marked += mark != 0;
+    }
+    if (marked != total_queued)
+        return false;
+    // Every dispatch overlay was sealed, which releases its entries.
+    if (std::any_of(overlay_index.begin(), overlay_index.end(),
+                    [](std::uint32_t e) { return e != kNoOverlayEntry; }))
+        return false;
     if (lane_count > 0) {
         // Lane invariants: the scalar slot flag tracks the union over
         // lanes, and the per-(partition, lane) counters recount.
@@ -243,8 +272,8 @@ ValuePlane::memoryBytes() const
         bytes += wl.capacity() * sizeof(PathId);
     for (const auto &queue : stale_queue)
         bytes += queue.capacity() * sizeof(VertexId);
-    for (const auto &queue : stale_queue_lanes)
-        bytes += queue.capacity() * sizeof(std::uint64_t);
+    bytes += stale_mark.size() * sizeof(std::uint64_t);
+    bytes += overlay_index.size() * sizeof(std::uint32_t);
     for (const auto &dirty : partition_dirty)
         bytes += dirty.memoryBytes();
     bytes += (lane_v.size() + lane_s.size() + lane_loaded.size() +

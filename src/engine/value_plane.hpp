@@ -82,12 +82,21 @@ class ValuePlane
     std::vector<std::vector<PathId>> partition_worklist;
     /** Per partition: vertices whose master version bumped since the
      *  partition last absorbed them (fed at the wave barrier; consumed
-     *  at dispatch start instead of a full slot-range version scan). */
+     *  at dispatch start instead of a full slot-range version scan).
+     *  Each vertex appears at most once (see stale_mark). */
     std::vector<std::vector<VertexId>> stale_queue;
-    /** Lane runs: per stale_queue entry, the mask of lanes whose master
-     *  actually changed (parallel vectors; scalar runs leave these
-     *  empty). Conversion activates only the masked lanes. */
-    std::vector<std::vector<std::uint64_t>> stale_queue_lanes;
+    /** Pending mark per (vertex, mirroring partition) pair, indexed by
+     *  the pair's ReplicaSync mirror-CSR position: non-zero iff the
+     *  vertex sits in that partition's stale_queue. Lane runs keep the
+     *  OR of the changed-lane masks of every fan-out since the
+     *  partition last ran (conversion activates only those lanes);
+     *  scalar runs store 1. */
+    std::vector<std::uint64_t> stale_mark;
+    /** Dense vertex -> entry index of the open dispatch overlays
+     *  (MasterOverlay; kNoOverlayEntry between dispatches). Shared by a
+     *  chunk's vertex-disjoint dispatches, each resetting its own
+     *  entries when it seals. */
+    std::vector<std::uint32_t> overlay_index;
     /** Per partition: dirty-slot worklist for the mirror-push phase. */
     std::vector<storage::SlotDirtySet> partition_dirty;
 
@@ -309,15 +318,19 @@ class ValuePlane
 
     /**
      * Validate the incremental activation bookkeeping (tests): per-path
-     * active-slot counters must equal a full recount of slot flags, and
+     * active-slot counters must equal a full recount of slot flags,
      * every path with a nonzero counter must sit in its partition's
-     * worklist. O(total slots) — debug/tests only.
+     * worklist, and the stale queues must match their marks (a mark is
+     * set iff its pair is queued, no queue holds a vertex twice, every
+     * queued vertex is mirrored by that partition). O(total slots) —
+     * debug/tests only; valid at wave boundaries.
      */
     bool bookkeepingConsistent(const partition::Preprocessed &pre) const;
 
     /** Host bytes of every per-job array this plane owns (value
-     *  storage, activation/worklist state, checkpoint shadows, flat
-     *  arrays) — excludes the shared layout and indexes. */
+     *  storage, activation/worklist state, stale marks, overlay index,
+     *  checkpoint shadows, flat arrays) — excludes the shared layout
+     *  and indexes. */
     std::size_t memoryBytes() const;
 
   private:

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "engine/digraph_engine.hpp"
@@ -34,6 +35,36 @@
 #include "engine/replica_sync_impl.hpp"
 
 namespace digraph::engine {
+
+/**
+ * Per-host-thread scratch of the wave body: the per-dispatch and
+ * per-round vectors, reused across dispatches so the steady state
+ * allocates nothing per round. A thread runs one dispatch (or one
+ * barrier) at a time, so one instance per thread suffices; the dense
+ * overlay index is per job instead (ValuePlane::overlay_index).
+ */
+struct WaveScratch
+{
+    std::vector<std::uint8_t> pulled;
+    std::vector<PathId> active_paths;
+    std::vector<std::uint32_t> active_counts;
+    std::vector<std::uint64_t> processed_edges;
+    std::vector<std::uint64_t> extra_lane_edges;
+    std::vector<std::uint64_t> pending; // VertexAsync deferred flags
+    std::vector<Value> snapshot;
+    std::vector<VertexId> changed;
+    std::vector<std::uint64_t> changed_lanes;
+    std::vector<std::pair<VertexId, std::uint64_t>> lane_pairs;
+    RoundScratch round;
+
+    /** The calling thread's instance. */
+    static WaveScratch &
+    local()
+    {
+        static thread_local WaveScratch scratch;
+        return scratch;
+    }
+};
 
 /** Static entry points of the wave body (friend of DiGraphEngine). */
 struct WaveKernels
@@ -110,11 +141,12 @@ struct WaveKernels
         // own merges. Global V_val is frozen for the whole wave, so
         // concurrent dispatches may read it freely.
         auto &overlay = out.overlay;
+        overlay.open(plane.overlay_index.data(), 1);
         const auto masterOf = [&](VertexId v) -> Value {
-            const auto it = overlay.find(v);
-            return it != overlay.end() ? it->second
-                                       : plane.storage.vVal(v);
+            const Value *ov = overlay.find(v);
+            return ov != nullptr ? *ov : plane.storage.vVal(v);
         };
+        WaveScratch &scratch = WaveScratch::local();
 
         // Stale-queue conversion (replaces a dispatch-start full
         // version scan): only vertices whose master version bumped
@@ -126,7 +158,8 @@ struct WaveKernels
         // from global memory, on their first activation within this
         // dispatch — the loaded-data-utilization advantage of hot/cold
         // path grouping.
-        std::vector<std::uint8_t> pulled(path_hi - path_lo, 0);
+        auto &pulled = scratch.pulled;
+        pulled.assign(path_hi - path_lo, 0);
 
         const unsigned lanes = eng.options_.platform.lanesPerSmx();
         constexpr bool vertex_async = (M == ExecutionMode::VertexAsync);
@@ -137,11 +170,12 @@ struct WaveKernels
                 (vertex_async ? 1.0
                               : eng.options_.platform.coalesced_factor);
 
-        std::vector<PathId> active_paths;
-        std::vector<std::uint32_t> active_counts;
-        std::vector<std::uint64_t> pending; // VertexAsync deferred flags
-        std::vector<Value> snapshot;
-        std::vector<VertexId> changed;
+        auto &active_paths = scratch.active_paths;
+        auto &active_counts = scratch.active_counts;
+        auto &pending = scratch.pending;
+        auto &snapshot = scratch.snapshot;
+        auto &changed = scratch.changed;
+        auto &processed_edges = scratch.processed_edges;
         auto &worklist = plane.partition_worklist[p];
 
         std::size_t local_rounds = 0;
@@ -192,7 +226,8 @@ struct WaveKernels
             // Path scheduling (Section 3.2.3): the warp scheduler runs
             // paths in Pri(p) order; DiGraph-w keeps storage order.
             if constexpr (M == ExecutionMode::PathAsync) {
-                eng.sched_.orderByPriority(active_paths, active_counts);
+                eng.sched_.orderByPriority(active_paths, active_counts,
+                                           scratch.round);
                 if constexpr (TraceOn) {
                     if (eng.trace_) {
                         eng.trace_->event(
@@ -225,8 +260,7 @@ struct WaveKernels
 
             // Walk each active path sequentially (one simulated GPU
             // thread per path). Inactive positions are skip-scanned.
-            std::vector<std::uint64_t> processed_edges(
-                active_paths.size(), 0);
+            processed_edges.assign(active_paths.size(), 0);
             for (std::size_t ap = 0; ap < active_paths.size(); ++ap) {
                 const PathId q = active_paths[ap];
                 auto view = plane.storage.path(q);
@@ -324,8 +358,8 @@ struct WaveKernels
             // SMX clocks at the wave barrier).
             out.round_group_cycles.push_back(eng.sched_.roundCost(
                 eng.options_, per_edge_cycles, active_paths,
-                processed_edges, stats.proxy_pushes,
-                stats.atomic_pushes));
+                processed_edges, stats.proxy_pushes, stats.atomic_pushes,
+                scratch.round));
         }
         out.local_rounds = local_rounds;
         if constexpr (!LogPushes) {
@@ -334,6 +368,7 @@ struct WaveKernels
                 std::unique(out.changed.begin(), out.changed.end()),
                 out.changed.end());
         }
+        overlay.seal();
 
         // Global-load accounting: charged to the wave-start resident
         // device (thread-safe atomic counter); deferred to the barrier
@@ -392,13 +427,15 @@ struct WaveKernels
         const std::uint64_t slot_lo = plane.storage.pathOffset(path_lo);
         const std::uint64_t slot_hi = plane.storage.pathOffset(path_hi);
 
-        auto &overlay = out.lane_overlay;
+        auto &overlay = out.overlay;
+        overlay.open(plane.overlay_index.data(), K);
+        WaveScratch &scratch = WaveScratch::local();
 
-        eng.sync_.convertStaleQueueLanes(plane, p, slot_lo, slot_hi,
-                                         out.stale_vertices,
-                                         out.stale_lanes);
+        eng.sync_.convertStaleQueue(plane, p, slot_lo, slot_hi,
+                                    out.stale_vertices, &out.stale_lanes);
 
-        std::vector<std::uint8_t> pulled(path_hi - path_lo, 0);
+        auto &pulled = scratch.pulled;
+        pulled.assign(path_hi - path_lo, 0);
 
         const unsigned lanes_per_smx =
             eng.options_.platform.lanesPerSmx();
@@ -432,7 +469,7 @@ struct WaveKernels
                 }
                 const VertexId v = plane.storage.vertexAt(slot);
                 const Value *master =
-                    overlay.empty() ? nullptr : overlay.find(v, K);
+                    overlay.empty() ? nullptr : overlay.find(v);
                 if (master == nullptr) {
                     master =
                         &plane.lane_v[static_cast<std::size_t>(v) * K];
@@ -446,10 +483,12 @@ struct WaveKernels
             }
         };
 
-        std::vector<PathId> active_paths;
-        std::vector<std::uint32_t> active_counts;
-        std::vector<VertexId> changed;
-        std::vector<std::uint64_t> changed_lanes;
+        auto &active_paths = scratch.active_paths;
+        auto &active_counts = scratch.active_counts;
+        auto &changed = scratch.changed;
+        auto &changed_lanes = scratch.changed_lanes;
+        auto &processed_edges = scratch.processed_edges;
+        auto &extra_lane_edges = scratch.extra_lane_edges;
         auto &worklist = plane.partition_worklist[p];
 
         std::size_t local_rounds = 0;
@@ -494,7 +533,8 @@ struct WaveKernels
             }
 
             if constexpr (M == ExecutionMode::PathAsync) {
-                eng.sched_.orderByPriority(active_paths, active_counts);
+                eng.sched_.orderByPriority(active_paths, active_counts,
+                                           scratch.round);
                 if constexpr (TraceOn) {
                     if (eng.trace_) {
                         eng.trace_->event(
@@ -513,10 +553,8 @@ struct WaveKernels
                     active_paths.resize(capacity);
             }
 
-            std::vector<std::uint64_t> processed_edges(
-                active_paths.size(), 0);
-            std::vector<std::uint64_t> extra_lane_edges(
-                active_paths.size(), 0);
+            processed_edges.assign(active_paths.size(), 0);
+            extra_lane_edges.assign(active_paths.size(), 0);
             for (std::size_t ap = 0; ap < active_paths.size(); ++ap) {
                 const PathId q = active_paths[ap];
                 const std::uint64_t base = plane.storage.pathOffset(q);
@@ -589,7 +627,8 @@ struct WaveKernels
                     plane, p, algo, eng.g_, eng.options_.use_proxy,
                     static_cast<std::uint32_t>(
                         eng.options_.proxy_indegree_threshold),
-                    overlay, out.lane_pushes, changed, changed_lanes);
+                    overlay, out.lane_pushes, changed, changed_lanes,
+                    scratch.lane_pairs);
             out.push_count += stats.proxy_pushes + stats.atomic_pushes;
             if constexpr (TraceOn) {
                 if (eng.trace_ &&
@@ -616,13 +655,15 @@ struct WaveKernels
             out.round_group_cycles.push_back(eng.sched_.roundCost(
                 eng.options_, per_edge_cycles, active_paths,
                 processed_edges, stats.proxy_pushes,
-                stats.atomic_pushes, &extra_lane_edges,
+                stats.atomic_pushes, scratch.round, &extra_lane_edges,
                 per_lane_cycles));
         }
         out.local_rounds = local_rounds;
         if constexpr (!LogPushes) {
-            sortMergeChangedLanes(out.changed, out.changed_lanes);
+            sortMergeChangedLanes(out.changed, out.changed_lanes,
+                                  scratch.lane_pairs);
         }
+        overlay.seal();
 
         if (out.global_load_bytes) {
             const DeviceId dev = eng.transport_.partition_device[p];
@@ -663,7 +704,8 @@ struct WaveKernels
                 changed_lanes.push_back(std::uint64_t{1} << lp.lane);
             }
         }
-        sortMergeChangedLanes(changed, changed_lanes);
+        sortMergeChangedLanes(changed, changed_lanes,
+                              WaveScratch::local().lane_pairs);
     }
 
     /**

@@ -27,26 +27,20 @@
 namespace digraph::engine {
 
 void
-DiGraphEngine::commitDeltas(DispatchOutcome &outcome)
+DiGraphEngine::commitDeltas(const DispatchOutcome &outcome)
 {
     // Plain stores are race-free here: a wave chunk only contains
     // mutually non-interfering (vertex-disjoint) partitions, so no two
     // concurrent commits write the same master.
-    for (const auto &[v, value] : outcome.overlay)
-        plane_.storage.vVal(v) = value;
-}
-
-void
-DiGraphEngine::commitLaneDeltas(DispatchOutcome &outcome)
-{
-    // Same vertex-disjointness argument as commitDeltas, one K-wide
-    // stripe per touched master.
-    const unsigned k = plane_.lane_count;
-    for (const auto &[v, idx] : outcome.lane_overlay.index) {
-        const Value *src = outcome.lane_overlay.values.data() +
-                           static_cast<std::size_t>(idx) * k;
-        std::copy(src, src + k,
-                  &plane_.lane_v[static_cast<std::size_t>(v) * k]);
+    const MasterOverlay &overlay = outcome.overlay;
+    const unsigned k = overlay.width;
+    for (std::size_t i = 0; i < overlay.vertices.size(); ++i) {
+        const VertexId v = overlay.vertices[i];
+        const Value *src = overlay.values.data() + i * k;
+        Value *dst = plane_.lane_count > 0
+                         ? &plane_.lane_v[static_cast<std::size_t>(v) * k]
+                         : &plane_.storage.vVal(v);
+        std::copy(src, src + k, dst);
     }
 }
 
@@ -116,12 +110,10 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
         changed = std::move(outcome.changed);
         if (ft_enabled_) {
             // The ordered path journals per replayed push; here the
-            // overlay keys ARE the pushed masters. (Lane runs exclude
+            // overlay entries ARE the pushed masters. (Lane runs exclude
             // fault tolerance, so the scalar overlay is the only case.)
-            for (const auto &[v, value] : outcome.overlay) {
-                (void)value;
+            for (const VertexId v : outcome.overlay.vertices)
                 plane_.markVertexDirty(v);
-            }
         }
     } else {
         kernel_.ordered_merge(*this, outcome, kernel_ctx_, changed);
@@ -136,18 +128,12 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
     }
 
     // Activation fan-out: every changed master feeds the stale queues of
-    // the partitions mirroring it and re-enters its consumer partitions
-    // into the worklist; partitions woken from inactive get ring
-    // notification transfers.
+    // the partitions mirroring it (once per pending pair) and re-enters
+    // its consumer partitions into the worklist; partitions woken from
+    // inactive get ring notification transfers.
     std::vector<PartitionId> activated_parts;
-    if (plane_.lane_count > 0) {
-        sync_.fanOutChangedLanes(plane_, p, changed,
-                                 outcome.changed_lanes,
-                                 outcome.lane_overlay, activated_parts);
-    } else {
-        sync_.fanOutChanged(plane_, p, changed, outcome.overlay,
-                            activated_parts);
-    }
+    sync_.fanOutChanged(plane_, p, changed, outcome.changed_lanes,
+                        outcome.overlay, activated_parts);
     std::sort(activated_parts.begin(), activated_parts.end());
     activated_parts.erase(
         std::unique(activated_parts.begin(), activated_parts.end()),

@@ -3,13 +3,18 @@
  * The parallel wave execution engine: results must be bit-identical for
  * every engine_threads value (the wave-snapshot + ordered-barrier design
  * guarantee), and the incremental activation bookkeeping (per-path
- * counters, worklists) must stay consistent across dispatch patterns.
+ * counters, worklists, stale-queue marks) must stay consistent across
+ * dispatch patterns — at every wave boundary, not only after the run.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "algorithms/factory.hpp"
 #include "engine/digraph_engine.hpp"
+#include "engine/wave_control.hpp"
+#include "gpusim/fault.hpp"
 #include "metrics/trace.hpp"
 #include "test_util.hpp"
 
@@ -160,6 +165,95 @@ TEST(ActivationBookkeeping, ConsistentUnderForcedRedispatch)
         test::expectStatesNear(report.final_state, ref.final_state,
                                algo->resultTolerance(),
                                std::string("redispatch/") + algo_name);
+    }
+}
+
+/** Wave-boundary hook that re-validates the activation and stale-queue
+ *  bookkeeping after every merge barrier (everything is committed there
+ *  and nothing is in flight). */
+class BookkeepingProbe : public engine::WaveControl
+{
+  public:
+    const engine::DiGraphEngine *engine = nullptr;
+    std::uint64_t boundaries = 0;
+    /** First wave whose boundary failed the check (0 = none). */
+    std::uint64_t first_bad_wave = 0;
+
+    std::size_t
+    onWaveBoundary(std::uint64_t wave,
+                   const std::vector<std::uint8_t> &) override
+    {
+        ++boundaries;
+        if (first_bad_wave == 0 &&
+            !engine->activationBookkeepingConsistent())
+            first_bad_wave = wave;
+        return 0;
+    }
+};
+
+/** Run @p spec on @p g with the probe attached; checks every boundary
+ *  and returns the report. */
+metrics::RunReport
+runProbed(const graph::DirectedGraph &g, const std::string &spec,
+          engine::EngineOptions opts, const std::string &label)
+{
+    const auto algo = algorithms::makeAlgorithmSpec(spec, g);
+    BookkeepingProbe probe;
+    opts.wave_control = &probe;
+    engine::DiGraphEngine eng(g, opts);
+    probe.engine = &eng;
+    const auto report = eng.run(*algo);
+    EXPECT_EQ(probe.boundaries, report.waves) << label;
+    EXPECT_GT(report.waves, 1u) << label;
+    EXPECT_EQ(probe.first_bad_wave, 0u) << label;
+    EXPECT_TRUE(eng.activationBookkeepingConsistent()) << label;
+    return report;
+}
+
+TEST(ActivationBookkeeping, StaleQueuesConsistentAtEveryWaveBoundary)
+{
+    // pagerank commits through the lock-free delta merge, sssp through
+    // the ordered replay, ppr K=8 through the lane delta merge (lane
+    // masks OR-merged into the stale marks).
+    const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
+    for (const char *spec :
+         {"pagerank", "sssp", "ppr:0+3+7+11+19+23+31+42"}) {
+        for (const std::size_t threads : {1ul, 4ul}) {
+            (void)runProbed(g, spec, optionsWithThreads(threads),
+                            std::string(spec) + "/threads=" +
+                                std::to_string(threads));
+        }
+    }
+}
+
+TEST(ActivationBookkeeping, DeviceLossRecoveryResetsStaleMarks)
+{
+    // A device kill mid-run rolls back to the checkpoint and clears the
+    // stale queues; their marks must be cleared with them, or a later
+    // fan-out would find a set mark and never queue the vertex again.
+    const auto g = graph::makeDataset(graph::Dataset::dblp, 0.2);
+    for (const char *spec : {"pagerank", "sssp"}) {
+        for (const std::size_t threads : {1ul, 4ul}) {
+            auto clean_opts = optionsWithThreads(threads);
+            clean_opts.platform.num_devices = 2;
+            const auto algo = algorithms::makeAlgorithmSpec(spec, g);
+            engine::DiGraphEngine clean(g, clean_opts);
+            const auto want = clean.run(*algo);
+
+            auto opts = clean_opts;
+            std::string err;
+            opts.faults = gpusim::FaultPlan::parse(
+                "seed=3,device=1@" + std::to_string(0.4 * want.sim_cycles),
+                err);
+            ASSERT_EQ(err, "");
+            const std::string label = std::string(spec) +
+                                      "/device-loss/threads=" +
+                                      std::to_string(threads);
+            const auto got = runProbed(g, spec, opts, label);
+            EXPECT_EQ(got.recoveries, 1u) << label;
+            test::expectStatesNear(got.final_state, want.final_state,
+                                   algo->resultTolerance(), label);
+        }
     }
 }
 
