@@ -35,7 +35,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-asan -S . -DDIGRAPH_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-asan -j \
+cmake --build build-asan -j "$(nproc)" \
     --target test_fault_tolerance test_robustness \
     test_engine_parallel test_engine_features test_io test_snapshot \
     test_graph_service test_substrate_epochs test_job_manager \

@@ -41,7 +41,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-crash -S . -DDIGRAPH_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-crash -j --target test_durable_store digraph_cli
+cmake --build build-crash -j "$(nproc)" --target test_durable_store digraph_cli
 
 fail() {
     echo "crash: $1" >&2

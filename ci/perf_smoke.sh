@@ -37,7 +37,7 @@ SCALE="${DIGRAPH_PERF_SMOKE_SCALE:-0.05}"
 TOLERANCE="${DIGRAPH_PERF_SMOKE_TOLERANCE:-1.10}"
 
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-perf -j --target host_engine_scaling
+cmake --build build-perf -j "$(nproc)" --target host_engine_scaling
 
 cd build-perf
 status=0

@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-tsan -S . -DDIGRAPH_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-tsan -j \
+cmake --build build-tsan -j "$(nproc)" \
     --target test_engine_parallel test_engine_features \
     test_engine_convergence test_evolving_incremental \
     test_graph_service test_substrate_epochs test_job_manager \

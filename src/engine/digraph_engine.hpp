@@ -77,15 +77,19 @@ struct DispatchOutcome
      *  (parallel to stale_vertices) — the refresh pull ships only those
      *  lanes' values (delta-encoded stripe). Empty on scalar runs. */
     std::vector<std::uint64_t> stale_lanes;
-    /** Per local round, per work-stealing group: kernel cycles. */
-    std::vector<std::vector<double>> round_group_cycles;
+    /** Kernel cycles per work-stealing group of every local round,
+     *  concatenated round after round. */
+    std::vector<double> round_group_cycles;
+    /** Per local round: end of its groups in round_group_cycles. */
+    std::vector<std::uint32_t> round_ends;
     /** Master push log in generation order (replayed via
      *  Algorithm::mergeMaster against the true masters). Left empty by
      *  delta-merge kernels, which commit the overlay directly. */
     std::vector<std::pair<VertexId, Value>> pushes;
     /** Privately merged master values (wave-start master + own
-     *  pushes; K-wide stripes on lane runs), sealed (sorted by vertex)
-     *  before the barrier. The barrier compares these against the
+     *  pushes; K-wide stripes on lane runs) in first-touch order, kept
+     *  open through the barrier and released after the fan-out. The
+     *  barrier compares these against the
      *  committed masters to decide whether this partition's own mirrors
      *  went stale (another wave member also pushed the vertex). Under
      *  the delta merge this IS what gets committed. */

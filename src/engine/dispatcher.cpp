@@ -264,13 +264,14 @@ Dispatcher::orderByPriority(
     active_paths.swap(ordered);
 }
 
-std::vector<double>
+void
 Dispatcher::roundCost(const EngineOptions &options,
                       double per_edge_cycles,
                       const std::vector<PathId> &active_paths,
                       const std::vector<std::uint64_t> &processed_edges,
                       std::uint64_t proxy_pushes,
                       std::uint64_t atomic_pushes, RoundScratch &scratch,
+                      std::vector<double> &group_cycles,
                       const std::vector<std::uint64_t> *extra_lane_edges,
                       double per_lane_cycles) const
 {
@@ -325,8 +326,6 @@ Dispatcher::roundCost(const EngineOptions &options,
     // Work-stealing groups start together on different SMXs; the round
     // ends when the slowest group finishes.
     const unsigned groups = (n_bins + lanes - 1) / lanes;
-    std::vector<double> group_cycles;
-    group_cycles.reserve(std::max(1u, groups));
     auto &group = scratch.group;
     for (unsigned k = 0; k < std::max(1u, groups); ++k) {
         group.assign(
@@ -339,7 +338,6 @@ Dispatcher::roundCost(const EngineOptions &options,
         group_cycles.push_back(gpusim::warpCost(group, per_edge_cycles) +
                                sync_cycles);
     }
-    return group_cycles;
 }
 
 std::size_t

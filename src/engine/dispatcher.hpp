@@ -96,8 +96,9 @@ class Dispatcher
      * bins by work units (longest first); work stealing spreads bins
      * over several SMXs of the device. A path's work is its processed
      * edges at full cost plus a cheap coalesced skip-scan of its
-     * inactive positions. Returns per work-stealing group: kernel
-     * cycles (group 0 chains on the home SMX; surplus groups steal).
+     * inactive positions. Appends per work-stealing group its kernel
+     * cycles to @p group_cycles (group 0 chains on the home SMX;
+     * surplus groups steal).
      *
      * Lane (K-wide) rounds additionally pass @p extra_lane_edges —
      * per path, the count of active value lanes beyond the first over
@@ -108,12 +109,12 @@ class Dispatcher
      * @p per_lane_cycles, a fraction of @p per_edge_cycles. Scalar
      * rounds pass nullptr and are costed exactly as before.
      */
-    std::vector<double>
+    void
     roundCost(const EngineOptions &options, double per_edge_cycles,
               const std::vector<PathId> &active_paths,
               const std::vector<std::uint64_t> &processed_edges,
               std::uint64_t proxy_pushes, std::uint64_t atomic_pushes,
-              RoundScratch &scratch,
+              RoundScratch &scratch, std::vector<double> &group_cycles,
               const std::vector<std::uint64_t> *extra_lane_edges =
                   nullptr,
               double per_lane_cycles = 0.0) const;

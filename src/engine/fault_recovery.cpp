@@ -270,15 +270,9 @@ DiGraphEngine::recoverFromDeviceLoss(DeviceId dead, std::uint64_t wave,
               static_cast<std::uint8_t>(0));
     std::fill(plane_.path_active_count.begin(),
               plane_.path_active_count.end(), 0u);
-    std::fill(plane_.path_in_worklist.begin(),
-              plane_.path_in_worklist.end(),
-              static_cast<std::uint8_t>(0));
     for (auto &wl : plane_.partition_worklist)
-        wl.clear();
-    for (auto &queue : plane_.stale_queue)
-        queue.clear();
-    std::fill(plane_.stale_mark.begin(), plane_.stale_mark.end(),
-              std::uint64_t{0});
+        wl.reset();
+    plane_.resetStaleQueues();
     for (auto &dirty : plane_.partition_dirty)
         dirty.reset();
     std::fill(plane_.partition_active.begin(),

@@ -1,31 +1,12 @@
 #include "engine/replica_sync.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "common/logging.hpp"
 #include "engine/value_plane.hpp"
 
 namespace digraph::engine {
-
-void
-MasterOverlay::seal()
-{
-    if (index == nullptr)
-        return;
-    // The index still maps each vertex to its first-touch entry, so the
-    // value stripes are gathered into vertex order after the vertices
-    // are sorted in place.
-    std::sort(vertices.begin(), vertices.end());
-    std::vector<Value> sorted(values.size());
-    for (std::size_t i = 0; i < vertices.size(); ++i) {
-        std::uint32_t &entry = index[vertices[i]];
-        const Value *src =
-            values.data() + static_cast<std::size_t>(entry) * width;
-        std::copy(src, src + width, sorted.data() + i * width);
-        entry = kNoOverlayEntry;
-    }
-    values.swap(sorted);
-    index = nullptr;
-}
 
 void
 ReplicaSync::build(const partition::Preprocessed &pre,
@@ -68,19 +49,20 @@ ReplicaSync::build(const partition::Preprocessed &pre,
             occur_slots_[cursor[e_idx[s]]++] = s;
     }
 
-    // Consumer-partition CSR (vertex -> partitions with a source
-    // occurrence) and mirror-partition CSR (vertex -> partitions with any
-    // occurrence), both deduplicated. A vertex's occurrence slots are
-    // ascending and partitions own contiguous path (hence slot) ranges,
-    // so the partition sequence along the occurrence list is already
-    // non-decreasing: one streaming pass with a last-seen compare
-    // replaces a per-vertex sort/unique scratch loop.
-    consumer_offsets_.assign(num_vertices + 1, 0);
-    consumer_parts_.clear();
+    // Mirror-entry CSR (vertex -> partitions with any occurrence,
+    // deduplicated) with its per-entry arrays. A vertex's occurrence
+    // slots are ascending and partitions own contiguous path (hence
+    // slot) ranges, so the partition sequence along the occurrence list
+    // is already non-decreasing: one streaming pass with a last-seen
+    // compare opens an entry at each partition change, and the entry's
+    // occurrence run lasts until the next one opens.
     mirror_offsets_.assign(num_vertices + 1, 0);
     mirror_parts_.clear();
+    entry_vertex_.clear();
+    entry_consumer_.clear();
+    entry_occ_.clear();
+    slot_entry_.resize(e_idx.size());
     for (VertexId v = 0; v < num_vertices; ++v) {
-        PartitionId last_consumer = kInvalidPartition;
         PartitionId last_mirror = kInvalidPartition;
         for (std::uint64_t k = occur_offsets_[v];
              k < occur_offsets_[v + 1]; ++k) {
@@ -89,16 +71,23 @@ ReplicaSync::build(const partition::Preprocessed &pre,
                 partition_of_path_[path_of_slot_[slot]];
             if (part != last_mirror) {
                 mirror_parts_.push_back(part);
+                entry_vertex_.push_back(v);
+                entry_consumer_.push_back(0);
+                entry_occ_.push_back(k);
                 last_mirror = part;
             }
-            if (is_src_slot_[slot] && part != last_consumer) {
-                consumer_parts_.push_back(part);
-                last_consumer = part;
-            }
+            slot_entry_[slot] =
+                static_cast<MirrorEntryId>(mirror_parts_.size() - 1);
+            if (is_src_slot_[slot])
+                entry_consumer_.back() = 1;
         }
-        consumer_offsets_[v + 1] = consumer_parts_.size();
         mirror_offsets_[v + 1] = mirror_parts_.size();
     }
+    entry_occ_.push_back(occur_slots_.size());
+    if (mirror_parts_.size() >
+        std::numeric_limits<MirrorEntryId>::max())
+        panic("ReplicaSync::build: ", mirror_parts_.size(),
+              " mirror entries overflow the 32-bit entry ids");
 }
 
 void
@@ -116,37 +105,32 @@ ReplicaSync::activateVertex(ValuePlane &plane, VertexId v) const
 
 void
 ReplicaSync::convertStaleQueue(ValuePlane &plane, PartitionId p,
-                               std::uint64_t slot_lo,
-                               std::uint64_t slot_hi,
                                std::vector<VertexId> &stale_vertices,
                                std::vector<std::uint64_t> *stale_lanes) const
 {
-    // The queue holds each vertex once (fanOutChanged queues a pair only
-    // when its mark was clear), so sorting yields exactly the
-    // sort + unique of every fan-out since this partition last ran; the
-    // mark carries the OR of their changed-lane masks. Partitions are
-    // vertex-disjoint within a chunk, so concurrent dispatches clear
-    // different marks.
+    // The queue holds each entry once (fanOutChanged queues an entry
+    // only when its mark was clear), so sorting yields exactly the
+    // sort + unique of every fan-out since this partition last ran, in
+    // vertex order (the CSR is vertex-major); the mark carries the OR of
+    // their changed-lane masks. Partitions are vertex-disjoint within a
+    // chunk, so concurrent dispatches clear different marks and refill
+    // different vertices' unmarked lists.
     auto &queue = plane.stale_queue[p];
     std::sort(queue.begin(), queue.end());
-    for (const VertexId v : queue) {
-        std::uint64_t &mark = plane.stale_mark[mirrorEntry(v, p)];
+    for (const MirrorEntryId k : queue) {
+        const VertexId v = entry_vertex_[k];
+        std::uint64_t &mark = plane.stale_mark[k];
         const std::uint64_t lanes_mask = mark;
         mark = 0;
+        plane.unmarked_entries[mirror_offsets_[v] +
+                               plane.unmarked_count[v]++] = k;
         bool any_stale = false;
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
-            if (plane.slot_seen_version[slot] !=
-                plane.master_version[v]) {
+        const std::uint32_t version = plane.master_version[v];
+        for (std::uint64_t o = entry_occ_[k]; o < entry_occ_[k + 1]; ++o) {
+            const std::uint64_t slot = occur_slots_[o];
+            if (plane.slot_seen_version[slot] != version) {
                 any_stale = true;
-                plane.slot_seen_version[slot] = plane.master_version[v];
+                plane.slot_seen_version[slot] = version;
                 if (!is_src_slot_[slot])
                     continue;
                 if (stale_lanes != nullptr)
@@ -184,30 +168,43 @@ ReplicaSync::fanOutChanged(
             ov != nullptr && std::equal(ov, ov + width, master);
         const std::uint64_t mask =
             changed_lanes.empty() ? 1 : changed_lanes[i];
-        for (std::uint64_t k = mirror_offsets_[v];
-             k < mirror_offsets_[v + 1]; ++k) {
-            const PartitionId part = mirror_parts_[k];
-            if (part == p && self_current)
-                continue;
-            if (plane.stale_mark[k] == 0)
-                plane.stale_queue[part].push_back(v);
-            plane.stale_mark[k] |= mask;
+        const std::uint64_t begin = mirror_offsets_[v];
+        if (lanes > 0) {
+            // Entries still pending from an earlier fan-out gain this
+            // fan-out's lanes (scalar marks are 1 and need nothing).
+            for (std::uint64_t k = begin; k < mirror_offsets_[v + 1];
+                 ++k) {
+                if (plane.stale_mark[k] != 0 &&
+                    !(self_current && mirror_parts_[k] == p))
+                    plane.stale_mark[k] |= mask;
+            }
         }
-        for (std::uint64_t k = consumer_offsets_[v];
-             k < consumer_offsets_[v + 1]; ++k) {
-            const PartitionId part = consumer_parts_[k];
-            if (part == p) {
-                if (!self_current)
-                    plane.partition_active[p] = 1;
+        // Flip the unmarked entries. The self entry stays unmarked when
+        // the overlay is current.
+        MirrorEntryId *unmarked = plane.unmarked_entries.data() + begin;
+        std::uint32_t &count = plane.unmarked_count[v];
+        std::uint32_t kept = 0;
+        for (std::uint32_t j = 0; j < count; ++j) {
+            const MirrorEntryId k = unmarked[j];
+            const PartitionId part = mirror_parts_[k];
+            if (part == p && self_current) {
+                unmarked[kept++] = k;
                 continue;
             }
-            if (!plane.partition_active[part]) {
+            plane.stale_mark[k] = mask;
+            plane.stale_queue[part].push_back(k);
+            if (!entry_consumer_[k])
+                continue;
+            if (part == p) {
+                plane.partition_active[p] = 1;
+            } else if (!plane.partition_active[part]) {
                 // Gate only on the activation that wakes the partition
                 // up; later batches are picked up whenever it runs.
                 plane.partition_active[part] = 1;
                 activated_parts.push_back(part);
             }
         }
+        count = kept;
     }
 }
 
@@ -233,10 +230,12 @@ ReplicaSync::memoryBytes() const
            partition_of_path_.size() * sizeof(PartitionId) +
            (occur_offsets_.size() + occur_slots_.size()) *
                sizeof(std::uint64_t) +
-           consumer_offsets_.size() * sizeof(std::uint64_t) +
-           consumer_parts_.size() * sizeof(PartitionId) +
            mirror_offsets_.size() * sizeof(std::uint64_t) +
-           mirror_parts_.size() * sizeof(PartitionId);
+           mirror_parts_.size() * sizeof(PartitionId) +
+           entry_vertex_.size() * sizeof(VertexId) +
+           entry_consumer_.size() * sizeof(std::uint8_t) +
+           entry_occ_.size() * sizeof(std::uint64_t) +
+           slot_entry_.size() * sizeof(MirrorEntryId);
 }
 
 } // namespace digraph::engine

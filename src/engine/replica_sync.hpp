@@ -1,8 +1,8 @@
 /**
  * @file
  * Replica-synchronization layer of the execution substrate (DESIGN.md
- * §12): the immutable vertex-replication indexes (slot ownership,
- * occurrence / consumer / mirror CSRs) plus the batched master<->mirror
+ * §12): the immutable vertex-replication indexes (slot ownership, the
+ * occurrence CSR and the mirror-entry CSR) plus the batched master<->mirror
  * synchronization operations that run against a job's ValuePlane.
  *
  * A ReplicaSync instance is built once per preprocessing result and is
@@ -40,30 +40,37 @@ struct PushStats
 /** Dense-index sentinel: the vertex has no entry in an open overlay. */
 inline constexpr std::uint32_t kNoOverlayEntry = UINT32_MAX;
 
+/** Position of a (vertex, mirroring partition) pair in the mirror-entry
+ *  CSR. The CSR is vertex-major, so ascending entry ids of one
+ *  partition are ascending vertex ids. */
+using MirrorEntryId = std::uint32_t;
+
 /**
  * Private master overlay of one dispatch: per touched master, one stripe
  * of `width` values (1 on scalar runs, K on lane runs), copied from the
  * committed master on first touch and merged into by the dispatch's own
  * pushes.
  *
- * While the dispatch computes, the overlay is *open*: lookups go through
- * a dense vertex -> entry index (ValuePlane::overlay_index). The index is
- * shared by every dispatch of a wave chunk, which is race-free because
- * the chunk's partitions are vertex-disjoint: each dispatch reads and
- * writes only its own vertices' entries. seal() sorts the entries by
- * vertex and resets the index entries it set (O(touched)); the wave
- * barrier (commit, fan-out, fault journal) reads the sealed entries.
+ * The overlay stays *open* from the dispatch's compute phase through its
+ * wave-barrier replay: lookups go through a dense vertex -> entry index
+ * (ValuePlane::overlay_index). The index is shared by every dispatch of
+ * a wave chunk, which is race-free because the chunk's partitions are
+ * vertex-disjoint: each dispatch reads and writes only its own
+ * vertices' entries. The barrier (commit, fault journal, fan-out) reads
+ * the entries in first-touch order — every consumer is order-free — and
+ * release() then resets the index entries this overlay set
+ * (O(touched)) before the next chunk opens its overlays.
  */
 struct MasterOverlay
 {
-    /** Touched masters: first-touch order while open, ascending once
-     *  sealed. */
+    /** Touched masters in first-touch order. */
     std::vector<VertexId> vertices;
     /** Stripe pool, `width` values per entry (parallel to vertices). */
     std::vector<Value> values;
     /** Values per entry. */
     unsigned width = 1;
-    /** Dense vertex -> entry index while open; nullptr once sealed. */
+    /** Dense vertex -> entry index while open; nullptr once
+     *  released. */
     std::uint32_t *index = nullptr;
 
     /** Open for a dispatch over @p dense_index (all kNoOverlayEntry on
@@ -89,28 +96,28 @@ struct MasterOverlay
         return values.data() + static_cast<std::size_t>(entry) * width;
     }
 
-    /** Stripe of @p v, or nullptr when untouched. */
+    /** Stripe of @p v, or nullptr when untouched. Open overlays
+     *  only. */
     const Value *
     find(VertexId v) const
     {
-        if (index != nullptr) {
-            const std::uint32_t entry = index[v];
-            return entry == kNoOverlayEntry
-                       ? nullptr
-                       : values.data() +
-                             static_cast<std::size_t>(entry) * width;
-        }
-        const auto it =
-            std::lower_bound(vertices.begin(), vertices.end(), v);
-        return it == vertices.end() || *it != v
+        const std::uint32_t entry = index[v];
+        return entry == kNoOverlayEntry
                    ? nullptr
-                   : values.data() +
-                         static_cast<std::size_t>(it - vertices.begin()) *
-                             width;
+                   : values.data() + static_cast<std::size_t>(entry) * width;
     }
 
-    /** Sort the entries by vertex and release the dense index. */
-    void seal();
+    /** Reset the index entries this overlay set and detach from the
+     *  index; the entries stay readable. */
+    void
+    release()
+    {
+        if (index == nullptr)
+            return;
+        for (const VertexId v : vertices)
+            index[v] = kNoOverlayEntry;
+        index = nullptr;
+    }
 
     bool empty() const { return vertices.empty(); }
 };
@@ -123,9 +130,10 @@ struct LanePush
     Value push;
 };
 
-/** Sort @p changed ascending and OR-merge duplicate vertices' masks in
- *  the parallel @p changed_lanes — the lane twin of the sort + unique
- *  a scalar changed-vertex list gets. @p pairs is reused scratch. */
+/** Sort @p changed (vertex or mirror-entry ids) ascending and OR-merge
+ *  duplicate ids' masks in the parallel @p changed_lanes — the lane
+ *  twin of the sort + unique a scalar changed list gets. @p pairs is
+ *  reused scratch. */
 inline void
 sortMergeChangedLanes(std::vector<VertexId> &changed,
                       std::vector<std::uint64_t> &changed_lanes,
@@ -197,35 +205,28 @@ class ReplicaSync
                 mirror_parts_.data() + mirror_offsets_[v + 1]};
     }
 
-    /** Partitions holding a SOURCE occurrence of @p v (deduplicated). */
-    std::span<const PartitionId>
-    consumerPartitions(VertexId v) const
-    {
-        return {consumer_parts_.data() + consumer_offsets_[v],
-                consumer_parts_.data() + consumer_offsets_[v + 1]};
-    }
-
     /** Total E_idx slots covered by the indexes. */
     std::size_t numSlots() const { return path_of_slot_.size(); }
 
-    /** Entries of the mirror-partition CSR: one per (vertex, mirroring
-     *  partition) pair — the index space of ValuePlane::stale_mark. */
+    /** Entries of the mirror-entry CSR: one per (vertex, mirroring
+     *  partition) pair — the index space of ValuePlane::stale_mark and
+     *  of the stale queues. */
     std::size_t numMirrorEntries() const { return mirror_parts_.size(); }
 
-    /** Mirror-CSR position of the pair (@p v, @p p), or
-     *  numMirrorEntries() when @p p holds no occurrence of @p v. */
-    std::uint64_t
-    mirrorEntry(VertexId v, PartitionId p) const
+    /** First mirror entry of @p v; its entries are
+     *  [mirrorBegin(v), mirrorBegin(v + 1)). */
+    std::uint64_t mirrorBegin(VertexId v) const
     {
-        const auto begin = mirror_parts_.begin() +
-                           static_cast<std::ptrdiff_t>(mirror_offsets_[v]);
-        const auto end =
-            mirror_parts_.begin() +
-            static_cast<std::ptrdiff_t>(mirror_offsets_[v + 1]);
-        const auto it = std::lower_bound(begin, end, p);
-        return it != end && *it == p
-                   ? static_cast<std::uint64_t>(it - mirror_parts_.begin())
-                   : mirror_parts_.size();
+        return mirror_offsets_[v];
+    }
+
+    /** Vertex of mirror entry @p k. */
+    VertexId entryVertex(MirrorEntryId k) const { return entry_vertex_[k]; }
+
+    /** Mirroring partition of mirror entry @p k. */
+    PartitionId entryPartition(MirrorEntryId k) const
+    {
+        return mirror_parts_[k];
     }
 
     // --- batched sync operations (mutate only @p plane) ---
@@ -236,13 +237,16 @@ class ReplicaSync
     void activateVertex(ValuePlane &plane, VertexId v) const;
 
     /**
-     * Consume partition @p p's stale-vertex queue: for each queued
-     * vertex whose master version bumped since a local slot last
-     * absorbed it, update the slot's seen version, activate source
-     * slots, and append the vertex to @p stale_vertices (ascending;
-     * drives the ring master-refresh pulls at replay). Each entry's
-     * pending mark (ValuePlane::stale_mark) is read and cleared.
-     * Replaces a dispatch-start full version scan of the slot range.
+     * Consume partition @p p's stale queue of mirror entries: for each
+     * queued entry whose vertex's master version bumped since a local
+     * slot last absorbed it, update the slot's seen version, activate
+     * source slots, and append the vertex to @p stale_vertices
+     * (ascending; drives the ring master-refresh pulls at replay). The
+     * walk covers exactly the entry's run of occurrences inside the
+     * partition. Each entry's pending mark (ValuePlane::stale_mark) is
+     * read and cleared, and the entry returns to its vertex's unmarked
+     * list. Replaces a dispatch-start full version scan of the slot
+     * range.
      *
      * Lane runs pass @p stale_lanes: a stale slot then re-activates
      * exactly the lanes its pending mark flags as changed — one lane's
@@ -252,18 +256,18 @@ class ReplicaSync
      * pull instead of shipping all K lane values.
      */
     void convertStaleQueue(ValuePlane &plane, PartitionId p,
-                           std::uint64_t slot_lo, std::uint64_t slot_hi,
                            std::vector<VertexId> &stale_vertices,
                            std::vector<std::uint64_t> *stale_lanes =
                                nullptr) const;
 
     /**
-     * Mirror->master push phase over partition @p p's dirty-slot
-     * worklist (ascending slot order): each mirror with a pending push
-     * merges into the private @p overlay (master values frozen for the
-     * wave live in plane.storage), logs into @p pushes, and collects
-     * masters whose overlaid value changed into @p changed
-     * (sorted/deduplicated). Returns the proxy/atomic split.
+     * Mirror->master push phase over one partition's drained dirty
+     * slots @p dirty_slots (ascending slot order): each mirror with a
+     * pending push merges into the private @p overlay (master values
+     * frozen for the wave live in plane.storage), logs into @p pushes,
+     * and collects the mirror entries of masters whose overlaid value
+     * changed into @p changed (sorted/deduplicated, hence in vertex
+     * order). Returns the proxy/atomic split.
      *
      * @p AlgoT is either a non-virtual kernel policy (specialized wave
      * kernels — the merge math inlines into the batch loop) or
@@ -273,39 +277,45 @@ class ReplicaSync
      */
     template <class AlgoT, bool LogPushes>
     PushStats
-    pushDirtyMirrorsT(ValuePlane &plane, PartitionId p, const AlgoT &algo,
-                      const graph::DirectedGraph &g, bool use_proxy,
+    pushDirtyMirrorsT(ValuePlane &plane,
+                      std::span<const std::uint64_t> dirty_slots,
+                      const AlgoT &algo, const graph::DirectedGraph &g,
+                      bool use_proxy,
                       std::uint32_t proxy_indegree_threshold,
                       MasterOverlay &overlay,
                       std::vector<std::pair<VertexId, Value>> &pushes,
-                      std::vector<VertexId> &changed) const;
+                      std::vector<MirrorEntryId> &changed) const;
 
     /**
-     * Refresh phase: re-pull and re-activate partition-local mirrors
-     * ([slot_lo, slot_hi)) of each vertex in @p changed from the
-     * overlaid master (the proxy-vertex effect — accumulated results
-     * are reusable within the next local round). Defined in
-     * replica_sync_impl.hpp.
+     * Refresh phase: re-pull and re-activate the partition-local
+     * mirrors of each mirror entry in @p changed (its run of
+     * occurrences) from the overlaid master (the proxy-vertex effect —
+     * accumulated results are reusable within the next local round).
+     * Defined in replica_sync_impl.hpp.
      */
     template <class AlgoT>
     void refreshLocalMirrorsT(ValuePlane &plane, const AlgoT &algo,
-                              std::uint64_t slot_lo, std::uint64_t slot_hi,
                               const MasterOverlay &overlay,
-                              const std::vector<VertexId> &changed) const;
+                              const std::vector<MirrorEntryId> &changed)
+        const;
 
     /**
      * Wave-barrier activation fan-out of the committed @p changed
      * masters (serial phase): feed the stale queues of mirroring
-     * partitions and wake consumer partitions. A (vertex, partition)
-     * pair is queued only when its pending mark goes from 0 to
-     * non-zero, so a queue never holds a vertex twice. The dispatching
-     * partition @p p skips itself only when its sealed @p overlay
-     * already equals the committed master across every lane (sole
-     * writer). Lane runs pass the per-vertex changed-lane masks in
-     * @p changed_lanes (parallel to @p changed), OR-merged into the
-     * marks; scalar runs pass an empty span. Partitions woken from
-     * inactive are appended to @p activated_parts (unsorted; caller
-     * dedups) for the notification transfers.
+     * partitions and wake consumer partitions. Only a vertex's unmarked
+     * entries (ValuePlane::unmarked_entries) are visited: each is
+     * marked, queued, and — when its partition holds a source
+     * occurrence — wakes that partition. A marked entry needs no visit:
+     * its partition has not run since the mark was set, so it is still
+     * queued and, as a consumer, still active. The dispatching
+     * partition @p p skips itself only when its @p overlay already
+     * equals the committed master across every lane (sole writer); its
+     * entry then stays unmarked. Lane runs pass the per-vertex
+     * changed-lane masks in @p changed_lanes (parallel to @p changed),
+     * which are also OR-merged into the entries already marked; scalar
+     * runs pass an empty span. Partitions woken from inactive are
+     * appended to @p activated_parts (unsorted; caller dedups) for the
+     * notification transfers.
      */
     void fanOutChanged(ValuePlane &plane, PartitionId p,
                        const std::vector<VertexId> &changed,
@@ -332,10 +342,10 @@ class ReplicaSync
     template <class AlgoT, bool LogPushes>
     PushStats
     pushDirtyMirrorsLanesT(
-        ValuePlane &plane, PartitionId p, const AlgoT &algo,
-        const graph::DirectedGraph &g, bool use_proxy,
+        ValuePlane &plane, std::span<const std::uint64_t> dirty_slots,
+        const AlgoT &algo, const graph::DirectedGraph &g, bool use_proxy,
         std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
-        std::vector<LanePush> &pushes, std::vector<VertexId> &changed,
+        std::vector<LanePush> &pushes, std::vector<MirrorEntryId> &changed,
         std::vector<std::uint64_t> &changed_lanes,
         std::vector<std::pair<VertexId, std::uint64_t>> &pairs) const;
 
@@ -345,9 +355,8 @@ class ReplicaSync
      *  source slots. Defined in replica_sync_impl.hpp. */
     template <class AlgoT>
     void refreshLocalMirrorsLanesT(
-        ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-        std::uint64_t slot_hi, const MasterOverlay &overlay,
-        const std::vector<VertexId> &changed,
+        ValuePlane &plane, const AlgoT &algo, const MasterOverlay &overlay,
+        const std::vector<MirrorEntryId> &changed,
         const std::vector<std::uint64_t> &changed_lanes) const;
 
     /** Host bytes of the shared indexes. */
@@ -363,15 +372,24 @@ class ReplicaSync
     /** CSR: vertex -> its occurrence slots across all paths. */
     std::vector<std::uint64_t> occur_offsets_;
     std::vector<std::uint64_t> occur_slots_;
-    /** CSR: vertex -> partitions holding one of its source occurrences
-     *  (deduplicated; used for activation fan-out). */
-    std::vector<std::uint64_t> consumer_offsets_;
-    std::vector<PartitionId> consumer_parts_;
-    /** CSR: vertex -> partitions holding ANY occurrence (deduplicated,
-     *  ascending; used for the stale-vertex queue fan-out at the wave
-     *  barrier — a pair's position indexes ValuePlane::stale_mark). */
+    /** Mirror-entry CSR: vertex -> partitions holding ANY occurrence
+     *  (deduplicated, ascending). An entry's position k is its
+     *  MirrorEntryId; the per-entry arrays below are parallel to
+     *  mirror_parts_. */
     std::vector<std::uint64_t> mirror_offsets_;
     std::vector<PartitionId> mirror_parts_;
+    /** Vertex of each entry. */
+    std::vector<VertexId> entry_vertex_;
+    /** Whether the entry's partition holds a SOURCE occurrence of the
+     *  vertex (a consumer, woken by the fan-out). */
+    std::vector<std::uint8_t> entry_consumer_;
+    /** Run of each entry's occurrences inside its partition: entry k
+     *  covers occur_slots_[entry_occ_[k], entry_occ_[k + 1]) (a
+     *  vertex's occurrences are ascending and partitions own contiguous
+     *  slot ranges, so the runs tile the occurrence list). */
+    std::vector<std::uint64_t> entry_occ_;
+    /** Mirror entry of each E_idx slot. */
+    std::vector<MirrorEntryId> slot_entry_;
 };
 
 } // namespace digraph::engine

@@ -23,11 +23,11 @@ namespace digraph::engine {
 template <class AlgoT, bool LogPushes>
 PushStats
 ReplicaSync::pushDirtyMirrorsT(
-    ValuePlane &plane, PartitionId p, const AlgoT &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
+    ValuePlane &plane, std::span<const std::uint64_t> dirty_slots,
+    const AlgoT &algo, const graph::DirectedGraph &g, bool use_proxy,
     std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
     std::vector<std::pair<VertexId, Value>> &pushes,
-    std::vector<VertexId> &changed) const
+    std::vector<MirrorEntryId> &changed) const
 {
     // Every dirty mirror pushes its pending value/delta to the
     // (privately overlaid) master. Only slots written this round are
@@ -37,9 +37,6 @@ ReplicaSync::pushDirtyMirrorsT(
     // of one replica can never clobber another replica's un-pushed
     // work.
     PushStats stats;
-    auto &dirty = plane.partition_dirty[p];
-    auto &dirty_slots = dirty.slots();
-    std::sort(dirty_slots.begin(), dirty_slots.end());
     const std::size_t n = dirty_slots.size();
     for (std::size_t k = 0; k < n; ++k) {
         if (k + kPrefetchDistance < n) {
@@ -67,9 +64,8 @@ ReplicaSync::pushDirtyMirrorsT(
         else
             ++stats.atomic_pushes;
         if (master_changed)
-            changed.push_back(v);
+            changed.push_back(slot_entry_[s]);
     }
-    dirty.reset();
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()),
                   changed.end());
@@ -79,21 +75,13 @@ ReplicaSync::pushDirtyMirrorsT(
 template <class AlgoT>
 void
 ReplicaSync::refreshLocalMirrorsT(
-    ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, const MasterOverlay &overlay,
-    const std::vector<VertexId> &changed) const
+    ValuePlane &plane, const AlgoT &algo, const MasterOverlay &overlay,
+    const std::vector<MirrorEntryId> &changed) const
 {
-    for (const VertexId v : changed) {
-        const Value master = *overlay.find(v);
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
+    for (const MirrorEntryId k : changed) {
+        const Value master = *overlay.find(entry_vertex_[k]);
+        for (std::uint64_t o = entry_occ_[k]; o < entry_occ_[k + 1]; ++o) {
+            const std::uint64_t slot = occur_slots_[o];
             Value &mirror = plane.storage.sVal(slot);
             mirror = algo.pull(master, mirror);
             plane.storage.loadedVal(slot) = mirror;
@@ -106,10 +94,10 @@ ReplicaSync::refreshLocalMirrorsT(
 template <class AlgoT, bool LogPushes>
 PushStats
 ReplicaSync::pushDirtyMirrorsLanesT(
-    ValuePlane &plane, PartitionId p, const AlgoT &algo,
-    const graph::DirectedGraph &g, bool use_proxy,
+    ValuePlane &plane, std::span<const std::uint64_t> dirty_slots,
+    const AlgoT &algo, const graph::DirectedGraph &g, bool use_proxy,
     std::uint32_t proxy_indegree_threshold, MasterOverlay &overlay,
-    std::vector<LanePush> &pushes, std::vector<VertexId> &changed,
+    std::vector<LanePush> &pushes, std::vector<MirrorEntryId> &changed,
     std::vector<std::uint64_t> &changed_lanes,
     std::vector<std::pair<VertexId, std::uint64_t>> &pairs) const
 {
@@ -120,9 +108,6 @@ ReplicaSync::pushDirtyMirrorsLanesT(
     // order are exactly the scalar phase's.
     PushStats stats;
     const unsigned lanes = plane.lane_count;
-    auto &dirty = plane.partition_dirty[p];
-    auto &dirty_slots = dirty.slots();
-    std::sort(dirty_slots.begin(), dirty_slots.end());
     const std::size_t n = dirty_slots.size();
     for (std::size_t k = 0; k < n; ++k) {
         if (k + kPrefetchDistance < n) {
@@ -158,11 +143,10 @@ ReplicaSync::pushDirtyMirrorsLanesT(
                 ++stats.atomic_pushes;
         }
         if (changed_mask) {
-            changed.push_back(v);
+            changed.push_back(slot_entry_[s]);
             changed_lanes.push_back(changed_mask);
         }
     }
-    dirty.reset();
     sortMergeChangedLanes(changed, changed_lanes, pairs);
     return stats;
 }
@@ -170,24 +154,16 @@ ReplicaSync::pushDirtyMirrorsLanesT(
 template <class AlgoT>
 void
 ReplicaSync::refreshLocalMirrorsLanesT(
-    ValuePlane &plane, const AlgoT &algo, std::uint64_t slot_lo,
-    std::uint64_t slot_hi, const MasterOverlay &overlay,
-    const std::vector<VertexId> &changed,
+    ValuePlane &plane, const AlgoT &algo, const MasterOverlay &overlay,
+    const std::vector<MirrorEntryId> &changed,
     const std::vector<std::uint64_t> &changed_lanes) const
 {
     const unsigned lanes = plane.lane_count;
     for (std::size_t i = 0; i < changed.size(); ++i) {
-        const VertexId v = changed[i];
-        const Value *master = overlay.find(v);
-        const auto occ_begin =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v]);
-        const auto occ_end =
-            occur_slots_.begin() +
-            static_cast<std::ptrdiff_t>(occur_offsets_[v + 1]);
-        for (auto it = std::lower_bound(occ_begin, occ_end, slot_lo);
-             it != occ_end && *it < slot_hi; ++it) {
-            const std::uint64_t slot = *it;
+        const MirrorEntryId k = changed[i];
+        const Value *master = overlay.find(entry_vertex_[k]);
+        for (std::uint64_t o = entry_occ_[k]; o < entry_occ_[k + 1]; ++o) {
+            const std::uint64_t slot = occur_slots_[o];
             Value *mirror = &plane.lane_s[slot * lanes];
             Value *loaded = &plane.lane_loaded[slot * lanes];
             for (unsigned l = 0; l < lanes; ++l) {

@@ -189,18 +189,20 @@ Transport::masterRefreshPulls(DeviceId dev,
 double
 Transport::chargeKernelRounds(
     PartitionId p, DeviceId dev, SmxId home_smx,
-    const std::vector<std::vector<double>> &round_group_cycles,
-    double ready, metrics::RunReport &report)
+    const std::vector<double> &round_group_cycles,
+    const std::vector<std::uint32_t> &round_ends, double ready,
+    metrics::RunReport &report)
 {
     auto &device = platform_.device(dev);
-    for (const auto &group_cycles : round_group_cycles) {
+    std::size_t begin = 0;
+    for (const std::uint32_t end : round_ends) {
         const double round_start = ready;
         double round_end = round_start;
-        for (std::size_t k = 0; k < group_cycles.size(); ++k) {
+        for (std::size_t k = 0; k < end - begin; ++k) {
             const SmxId sid = k == 0 ? home_smx : device.leastLoadedSmx();
             // An armed SMX stall slows this group's kernel down.
             const double cycles =
-                group_cycles[k] * smxStallFactor(dev, sid);
+                round_group_cycles[begin + k] * smxStallFactor(dev, sid);
             if (trace_ && k > 0) {
                 trace_->event(metrics::TraceEventType::Steal,
                               trace_wave_, p, round_start, cycles, k,
@@ -210,6 +212,7 @@ Transport::chargeKernelRounds(
                 round_end, device.smx(sid).run(round_start, cycles));
         }
         ready = round_end;
+        begin = end;
     }
     (void)report;
     return ready;

@@ -121,12 +121,13 @@ class Transport
     /** Charge recorded kernel rounds to the device clocks, exactly as
      *  the interleaved execution would have: group 0 chains on
      *  @p home_smx, surplus groups steal the momentarily least-loaded
-     *  SMX (Steal trace per stolen group). Returns the completion
-     *  time. */
-    double chargeKernelRounds(
-        PartitionId p, DeviceId dev, SmxId home_smx,
-        const std::vector<std::vector<double>> &round_group_cycles,
-        double ready, metrics::RunReport &report);
+     *  SMX (Steal trace per stolen group). Round r's groups are
+     *  @p round_group_cycles[round_ends[r - 1], round_ends[r]) (from 0
+     *  for r = 0). Returns the completion time. */
+    double chargeKernelRounds(PartitionId p, DeviceId dev, SmxId home_smx,
+                              const std::vector<double> &round_group_cycles,
+                              const std::vector<std::uint32_t> &round_ends,
+                              double ready, metrics::RunReport &report);
 
     /** Ring notification transfers to the partitions in
      *  @p activated_parts (sorted/deduped) woken by partition @p p's

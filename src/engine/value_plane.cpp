@@ -18,13 +18,14 @@ ValuePlane::beginRun(const partition::Preprocessed &pre)
     slot_seen_version.assign(storage.eIdx().size(), 0);
     partition_active.assign(nparts, 0);
     path_active_count.assign(npaths, 0);
-    path_in_worklist.assign(npaths, 0);
-    partition_worklist.assign(nparts, {});
-    stale_queue.assign(nparts, {});
-    stale_mark.assign(sync_->numMirrorEntries(), 0);
+    stale_queue.resize(nparts);
+    resetStaleQueues();
     overlay_index.assign(storage.numVertices(), kNoOverlayEntry);
+    partition_worklist.resize(nparts);
     partition_dirty.resize(nparts);
     for (PartitionId q = 0; q < nparts; ++q) {
+        partition_worklist[q].bind(pre.partition_offsets[q],
+                                   pre.partition_offsets[q + 1]);
         partition_dirty[q].bind(
             storage.pathOffset(pre.partition_offsets[q]),
             storage.pathOffset(pre.partition_offsets[q + 1]));
@@ -38,6 +39,24 @@ ValuePlane::beginRun(const partition::Preprocessed &pre)
     lane_e.clear();
     slot_lane_mask.clear();
     lane_active_slots.clear();
+}
+
+void
+ValuePlane::resetStaleQueues()
+{
+    for (auto &queue : stale_queue)
+        queue.clear();
+    const std::size_t entries = sync_->numMirrorEntries();
+    stale_mark.assign(entries, 0);
+    unmarked_entries.resize(entries);
+    for (std::size_t k = 0; k < entries; ++k)
+        unmarked_entries[k] = static_cast<MirrorEntryId>(k);
+    const VertexId nv = storage.numVertices();
+    unmarked_count.resize(nv);
+    for (VertexId v = 0; v < nv; ++v) {
+        unmarked_count[v] = static_cast<std::uint32_t>(
+            sync_->mirrorBegin(v + 1) - sync_->mirrorBegin(v));
+    }
 }
 
 void
@@ -182,36 +201,32 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
         if (slot_active[s])
             ++recount[sync_->pathOfSlot(s)];
     }
-    for (PathId q = 0; q < np; ++q) {
-        if (recount[q] != path_active_count[q])
-            return false;
-        if (recount[q] > 0 && !path_in_worklist[q])
-            return false;
-    }
-    std::vector<std::uint8_t> listed(np, 0);
+    // Worklists: the bitmap bit is the in-worklist flag, so a path with
+    // active slots must have its bit set, and the sweeps must see every
+    // set bit. Dirty sets are drained every local round.
     for (PartitionId q = 0; q < pre.numPartitions(); ++q) {
-        for (const PathId path : partition_worklist[q]) {
-            if (listed[path] || !path_in_worklist[path] ||
-                sync_->partitionOfPath(path) != q) {
+        if (!partition_worklist[q].spanCoversMarks() ||
+            !partition_dirty[q].spanCoversMarks() ||
+            partition_dirty[q].count() != 0)
+            return false;
+        for (PathId path = pre.partition_offsets[q];
+             path < pre.partition_offsets[q + 1]; ++path) {
+            if (recount[path] != path_active_count[path])
                 return false;
-            }
-            listed[path] = 1;
+            if (recount[path] > 0 && !partition_worklist[q].test(path))
+                return false;
         }
     }
-    for (PathId q = 0; q < np; ++q) {
-        if (path_in_worklist[q] && !listed[q])
-            return false;
-    }
-    // Stale queues: every queued (vertex, partition) pair is a mirror
-    // pair with a set mark, queued once; every set mark is queued.
+    // Stale queues: every queued entry belongs to the queue's partition
+    // and has a set mark, queued once; every set mark is queued.
     if (stale_mark.size() != sync_->numMirrorEntries())
         return false;
     std::vector<std::uint8_t> queued(stale_mark.size(), 0);
     std::size_t total_queued = 0;
     for (PartitionId q = 0; q < pre.numPartitions(); ++q) {
-        for (const VertexId v : stale_queue[q]) {
-            const std::uint64_t k = sync_->mirrorEntry(v, q);
-            if (k == stale_mark.size() || queued[k] || stale_mark[k] == 0)
+        for (const MirrorEntryId k : stale_queue[q]) {
+            if (k >= stale_mark.size() || sync_->entryPartition(k) != q ||
+                queued[k] || stale_mark[k] == 0)
                 return false;
             queued[k] = 1;
             ++total_queued;
@@ -226,7 +241,26 @@ ValuePlane::bookkeepingConsistent(const partition::Preprocessed &pre) const
     }
     if (marked != total_queued)
         return false;
-    // Every dispatch overlay was sealed, which releases its entries.
+    // Unmarked lists: each vertex's list holds exactly its entries with
+    // a zero mark, each once.
+    std::vector<std::uint8_t> listed(stale_mark.size(), 0);
+    for (VertexId v = 0; v < storage.numVertices(); ++v) {
+        const std::uint64_t begin = sync_->mirrorBegin(v);
+        const std::uint64_t end = sync_->mirrorBegin(v + 1);
+        if (unmarked_count[v] > end - begin)
+            return false;
+        for (std::uint32_t j = 0; j < unmarked_count[v]; ++j) {
+            const MirrorEntryId k = unmarked_entries[begin + j];
+            if (k < begin || k >= end || listed[k] || stale_mark[k] != 0)
+                return false;
+            listed[k] = 1;
+        }
+        for (std::uint64_t k = begin; k < end; ++k) {
+            if ((stale_mark[k] == 0) != (listed[k] != 0))
+                return false;
+        }
+    }
+    // Every dispatch overlay was released after its barrier fan-out.
     if (std::any_of(overlay_index.begin(), overlay_index.end(),
                     [](std::uint32_t e) { return e != kNoOverlayEntry; }))
         return false;
@@ -267,12 +301,13 @@ ValuePlane::memoryBytes() const
     bytes += slot_seen_version.size() * sizeof(std::uint32_t);
     bytes += partition_active.size() * sizeof(std::uint8_t);
     bytes += path_active_count.size() * sizeof(std::uint32_t);
-    bytes += path_in_worklist.size() * sizeof(std::uint8_t);
     for (const auto &wl : partition_worklist)
-        bytes += wl.capacity() * sizeof(PathId);
+        bytes += wl.memoryBytes();
     for (const auto &queue : stale_queue)
-        bytes += queue.capacity() * sizeof(VertexId);
+        bytes += queue.capacity() * sizeof(MirrorEntryId);
     bytes += stale_mark.size() * sizeof(std::uint64_t);
+    bytes += unmarked_entries.size() * sizeof(MirrorEntryId);
+    bytes += unmarked_count.size() * sizeof(std::uint32_t);
     bytes += overlay_index.size() * sizeof(std::uint32_t);
     for (const auto &dirty : partition_dirty)
         bytes += dirty.memoryBytes();

@@ -74,30 +74,36 @@ class ValuePlane
     // --- incremental worklists (partition-sliced) ---
     /** Active source slots per path (incremental activation counter). */
     std::vector<std::uint32_t> path_active_count;
-    /** Whether the path currently sits in its partition's worklist. */
-    std::vector<std::uint8_t> path_in_worklist;
-    /** Per partition: paths with (possibly) active slots; swept lazily
-     *  each local round, so active-path collection is O(active paths)
-     *  instead of O(partition slots). */
-    std::vector<std::vector<PathId>> partition_worklist;
-    /** Per partition: vertices whose master version bumped since the
-     *  partition last absorbed them (fed at the wave barrier; consumed
-     *  at dispatch start instead of a full slot-range version scan).
-     *  Each vertex appears at most once (see stale_mark). */
-    std::vector<std::vector<VertexId>> stale_queue;
-    /** Pending mark per (vertex, mirroring partition) pair, indexed by
-     *  the pair's ReplicaSync mirror-CSR position: non-zero iff the
-     *  vertex sits in that partition's stale_queue. Lane runs keep the
-     *  OR of the changed-lane masks of every fan-out since the
-     *  partition last ran (conversion activates only those lanes);
+    /** Per partition: bitmap over its path range; a set bit means the
+     *  path sits in the worklist (it may have active slots). Swept
+     *  lazily each local round in storage order, so active-path
+     *  collection costs O(touched words + active paths) instead of
+     *  O(partition slots), with no sort. */
+    std::vector<storage::RangeBitmap> partition_worklist;
+    /** Per partition: mirror entries whose vertex's master version
+     *  bumped since the partition last absorbed it (fed at the wave
+     *  barrier; consumed at dispatch start instead of a full slot-range
+     *  version scan). Each entry appears at most once (see
+     *  stale_mark). */
+    std::vector<std::vector<MirrorEntryId>> stale_queue;
+    /** Pending mark per mirror entry (ReplicaSync mirror-entry CSR):
+     *  non-zero iff the entry sits in its partition's stale_queue. Lane
+     *  runs keep the OR of the changed-lane masks of every fan-out since
+     *  the partition last ran (conversion activates only those lanes);
      *  scalar runs store 1. */
     std::vector<std::uint64_t> stale_mark;
+    /** Per vertex, its mirror entries whose mark is 0: the first
+     *  unmarked_count[v] ids from position ReplicaSync::mirrorBegin(v)
+     *  on (any order). The fan-out flips and empties the list; the
+     *  conversion puts each entry back as it clears the mark. */
+    std::vector<MirrorEntryId> unmarked_entries;
+    std::vector<std::uint32_t> unmarked_count;
     /** Dense vertex -> entry index of the open dispatch overlays
-     *  (MasterOverlay; kNoOverlayEntry between dispatches). Shared by a
-     *  chunk's vertex-disjoint dispatches, each resetting its own
-     *  entries when it seals. */
+     *  (MasterOverlay; kNoOverlayEntry between waves). Shared by a
+     *  chunk's vertex-disjoint dispatches, each releasing its own
+     *  entries after its barrier fan-out. */
     std::vector<std::uint32_t> overlay_index;
-    /** Per partition: dirty-slot worklist for the mirror-push phase. */
+    /** Per partition: dirty-slot set for the mirror-push phase. */
     std::vector<storage::SlotDirtySet> partition_dirty;
 
     // --- checkpoint COW state (fault layer; allocated only when fault
@@ -169,6 +175,30 @@ class ValuePlane
      *  (storage values are initialized separately). */
     void beginRun(const partition::Preprocessed &pre);
 
+    /** Empty every stale queue, clear every mark and refill each
+     *  vertex's unmarked list with all its entries (run start and
+     *  device-loss recovery). */
+    void resetStaleQueues();
+
+    /** Collect partition @p p's worklist paths that have active slots,
+     *  in storage order, into @p paths with their active-slot counts in
+     *  @p counts; paths without any leave the worklist. */
+    void
+    collectActivePaths(PartitionId p, std::vector<PathId> &paths,
+                       std::vector<std::uint32_t> &counts)
+    {
+        paths.clear();
+        counts.clear();
+        partition_worklist[p].sweep([&](std::uint64_t q) {
+            const std::uint32_t n = path_active_count[q];
+            if (n == 0)
+                return false;
+            paths.push_back(static_cast<PathId>(q));
+            counts.push_back(n);
+            return true;
+        });
+    }
+
     /** Initialize the four arrays from @p algo (or from @p warm).
      *  @throws via panic() on warm-start size mismatches. */
     void initializeState(const graph::DirectedGraph &g,
@@ -192,10 +222,8 @@ class ValuePlane
             return;
         slot_active[slot] = 1;
         const PathId q = sync_->pathOfSlot(slot);
-        if (path_active_count[q]++ == 0 && !path_in_worklist[q]) {
-            path_in_worklist[q] = 1;
-            partition_worklist[sync_->partitionOfPath(q)].push_back(q);
-        }
+        if (path_active_count[q]++ == 0)
+            partition_worklist[sync_->partitionOfPath(q)].mark(q);
     }
 
     /** Clear a processed slot's activation flag (counter bookkeeping). */
@@ -320,15 +348,18 @@ class ValuePlane
      * Validate the incremental activation bookkeeping (tests): per-path
      * active-slot counters must equal a full recount of slot flags,
      * every path with a nonzero counter must sit in its partition's
-     * worklist, and the stale queues must match their marks (a mark is
-     * set iff its pair is queued, no queue holds a vertex twice, every
-     * queued vertex is mirrored by that partition). O(total slots) —
-     * debug/tests only; valid at wave boundaries.
+     * worklist bitmap, the stale queues must match their marks (a mark
+     * is set iff its entry is queued, in its own partition's queue,
+     * once), each vertex's unmarked list must hold exactly its entries
+     * with a zero mark, once each, and no dirty set or overlay index
+     * entry may be left open. O(total slots + entries) — debug/tests
+     * only; valid at wave boundaries.
      */
     bool bookkeepingConsistent(const partition::Preprocessed &pre) const;
 
     /** Host bytes of every per-job array this plane owns (value
-     *  storage, activation/worklist state, stale marks, overlay index,
+     *  storage, activation/worklist bitmaps, stale queues, marks and
+     *  unmarked lists, dirty bitmaps, overlay index,
      *  checkpoint shadows, flat arrays) — excludes the shared layout
      *  and indexes. */
     std::size_t memoryBytes() const;

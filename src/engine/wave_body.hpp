@@ -52,7 +52,8 @@ struct WaveScratch
     std::vector<std::uint64_t> extra_lane_edges;
     std::vector<std::uint64_t> pending; // VertexAsync deferred flags
     std::vector<Value> snapshot;
-    std::vector<VertexId> changed;
+    std::vector<std::uint64_t> dirty_slots;
+    std::vector<MirrorEntryId> changed;
     std::vector<std::uint64_t> changed_lanes;
     std::vector<std::pair<VertexId, std::uint64_t>> lane_pairs;
     RoundScratch round;
@@ -151,8 +152,7 @@ struct WaveKernels
         // Stale-queue conversion (replaces a dispatch-start full
         // version scan): only vertices whose master version bumped
         // since this partition last absorbed them are examined.
-        eng.sync_.convertStaleQueue(plane, p, slot_lo, slot_hi,
-                                    out.stale_vertices);
+        eng.sync_.convertStaleQueue(plane, p, out.stale_vertices);
 
         // Lazy partition pull: only paths with active work are streamed
         // from global memory, on their first activation within this
@@ -176,28 +176,15 @@ struct WaveKernels
         auto &snapshot = scratch.snapshot;
         auto &changed = scratch.changed;
         auto &processed_edges = scratch.processed_edges;
-        auto &worklist = plane.partition_worklist[p];
+        auto &dirty_slots = scratch.dirty_slots;
 
         std::size_t local_rounds = 0;
         for (;;) {
             // Collect paths with at least one active source slot from
-            // the incremental worklist — O(active paths). Sorting
-            // restores storage order (what the former full sweep
-            // produced), which PathNoSched relies on.
-            active_paths.clear();
-            active_counts.clear();
-            std::sort(worklist.begin(), worklist.end());
-            std::size_t keep = 0;
-            for (const PathId q : worklist) {
-                if (plane.path_active_count[q] > 0) {
-                    worklist[keep++] = q;
-                    active_paths.push_back(q);
-                    active_counts.push_back(plane.path_active_count[q]);
-                } else {
-                    plane.path_in_worklist[q] = 0;
-                }
-            }
-            worklist.resize(keep);
+            // the incremental worklist bitmap, in storage order (what
+            // the former full sweep produced), which PathNoSched
+            // relies on.
+            plane.collectActivePaths(p, active_paths, active_counts);
             if (active_paths.empty())
                 break;
             if (local_rounds >= eng.options_.max_local_rounds) {
@@ -320,10 +307,13 @@ struct WaveKernels
             // --- mirror -> master sync (batched, Section 3.2.2) ---
             // Phase 1: every dirty mirror pushes into the private
             // overlay (push log skipped under the delta merge).
+            dirty_slots.clear();
+            plane.partition_dirty[p].drain(dirty_slots);
             changed.clear();
             const PushStats stats =
                 eng.sync_.pushDirtyMirrorsT<AlgoT, LogPushes>(
-                    plane, p, algo, eng.g_, eng.options_.use_proxy,
+                    plane, dirty_slots, algo, eng.g_,
+                    eng.options_.use_proxy,
                     static_cast<std::uint32_t>(
                         eng.options_.proxy_indegree_threshold),
                     overlay, out.pushes, changed);
@@ -345,21 +335,23 @@ struct WaveKernels
                 // accumulative family depends only on the push
                 // magnitude, so the union of the per-round sets equals
                 // what the ordered replay would recompute.
-                out.changed.insert(out.changed.end(), changed.begin(),
-                                   changed.end());
+                for (const MirrorEntryId k : changed)
+                    out.changed.push_back(eng.sync_.entryVertex(k));
             }
 
             // Phase 2: refresh and re-activate this partition's own
             // mirrors of each changed vertex (the proxy-vertex effect).
-            eng.sync_.refreshLocalMirrorsT<AlgoT>(
-                plane, algo, slot_lo, slot_hi, overlay, changed);
+            eng.sync_.refreshLocalMirrorsT<AlgoT>(plane, algo, overlay,
+                                                  changed);
 
             // Simulated cost of this round (recorded; charged to real
             // SMX clocks at the wave barrier).
-            out.round_group_cycles.push_back(eng.sched_.roundCost(
-                eng.options_, per_edge_cycles, active_paths,
-                processed_edges, stats.proxy_pushes, stats.atomic_pushes,
-                scratch.round));
+            eng.sched_.roundCost(eng.options_, per_edge_cycles,
+                                 active_paths, processed_edges,
+                                 stats.proxy_pushes, stats.atomic_pushes,
+                                 scratch.round, out.round_group_cycles);
+            out.round_ends.push_back(static_cast<std::uint32_t>(
+                out.round_group_cycles.size()));
         }
         out.local_rounds = local_rounds;
         if constexpr (!LogPushes) {
@@ -368,7 +360,6 @@ struct WaveKernels
                 std::unique(out.changed.begin(), out.changed.end()),
                 out.changed.end());
         }
-        overlay.seal();
 
         // Global-load accounting: charged to the wave-start resident
         // device (thread-safe atomic counter); deferred to the barrier
@@ -424,15 +415,13 @@ struct WaveKernels
 
         const std::uint32_t path_lo = eng.pre_.partition_offsets[p];
         const std::uint32_t path_hi = eng.pre_.partition_offsets[p + 1];
-        const std::uint64_t slot_lo = plane.storage.pathOffset(path_lo);
-        const std::uint64_t slot_hi = plane.storage.pathOffset(path_hi);
 
         auto &overlay = out.overlay;
         overlay.open(plane.overlay_index.data(), K);
         WaveScratch &scratch = WaveScratch::local();
 
-        eng.sync_.convertStaleQueue(plane, p, slot_lo, slot_hi,
-                                    out.stale_vertices, &out.stale_lanes);
+        eng.sync_.convertStaleQueue(plane, p, out.stale_vertices,
+                                    &out.stale_lanes);
 
         auto &pulled = scratch.pulled;
         pulled.assign(path_hi - path_lo, 0);
@@ -489,24 +478,11 @@ struct WaveKernels
         auto &changed_lanes = scratch.changed_lanes;
         auto &processed_edges = scratch.processed_edges;
         auto &extra_lane_edges = scratch.extra_lane_edges;
-        auto &worklist = plane.partition_worklist[p];
+        auto &dirty_slots = scratch.dirty_slots;
 
         std::size_t local_rounds = 0;
         for (;;) {
-            active_paths.clear();
-            active_counts.clear();
-            std::sort(worklist.begin(), worklist.end());
-            std::size_t keep = 0;
-            for (const PathId q : worklist) {
-                if (plane.path_active_count[q] > 0) {
-                    worklist[keep++] = q;
-                    active_paths.push_back(q);
-                    active_counts.push_back(plane.path_active_count[q]);
-                } else {
-                    plane.path_in_worklist[q] = 0;
-                }
-            }
-            worklist.resize(keep);
+            plane.collectActivePaths(p, active_paths, active_counts);
             if (active_paths.empty())
                 break;
             if (local_rounds >= eng.options_.max_local_rounds) {
@@ -620,11 +596,14 @@ struct WaveKernels
                 }
             }
 
+            dirty_slots.clear();
+            plane.partition_dirty[p].drain(dirty_slots);
             changed.clear();
             changed_lanes.clear();
             const PushStats stats =
                 eng.sync_.pushDirtyMirrorsLanesT<AlgoT, LogPushes>(
-                    plane, p, algo, eng.g_, eng.options_.use_proxy,
+                    plane, dirty_slots, algo, eng.g_,
+                    eng.options_.use_proxy,
                     static_cast<std::uint32_t>(
                         eng.options_.proxy_indegree_threshold),
                     overlay, out.lane_pushes, changed, changed_lanes,
@@ -641,29 +620,29 @@ struct WaveKernels
                 }
             }
             if constexpr (!LogPushes) {
-                out.changed.insert(out.changed.end(), changed.begin(),
-                                   changed.end());
+                for (const MirrorEntryId k : changed)
+                    out.changed.push_back(eng.sync_.entryVertex(k));
                 out.changed_lanes.insert(out.changed_lanes.end(),
                                          changed_lanes.begin(),
                                          changed_lanes.end());
             }
 
             eng.sync_.refreshLocalMirrorsLanesT<AlgoT>(
-                plane, algo, slot_lo, slot_hi, overlay, changed,
-                changed_lanes);
+                plane, algo, overlay, changed, changed_lanes);
 
-            out.round_group_cycles.push_back(eng.sched_.roundCost(
-                eng.options_, per_edge_cycles, active_paths,
-                processed_edges, stats.proxy_pushes,
-                stats.atomic_pushes, scratch.round, &extra_lane_edges,
-                per_lane_cycles));
+            eng.sched_.roundCost(eng.options_, per_edge_cycles,
+                                 active_paths, processed_edges,
+                                 stats.proxy_pushes, stats.atomic_pushes,
+                                 scratch.round, out.round_group_cycles,
+                                 &extra_lane_edges, per_lane_cycles);
+            out.round_ends.push_back(static_cast<std::uint32_t>(
+                out.round_group_cycles.size()));
         }
         out.local_rounds = local_rounds;
         if constexpr (!LogPushes) {
             sortMergeChangedLanes(out.changed, out.changed_lanes,
                                   scratch.lane_pairs);
         }
-        overlay.seal();
 
         if (out.global_load_bytes) {
             const DeviceId dev = eng.transport_.partition_device[p];

@@ -31,7 +31,9 @@ DiGraphEngine::commitDeltas(const DispatchOutcome &outcome)
 {
     // Plain stores are race-free here: a wave chunk only contains
     // mutually non-interfering (vertex-disjoint) partitions, so no two
-    // concurrent commits write the same master.
+    // concurrent commits write the same master. The entries are in
+    // first-touch order, which is fine: each store hits its own
+    // master.
     const MasterOverlay &overlay = outcome.overlay;
     const unsigned k = overlay.width;
     for (std::size_t i = 0; i < overlay.vertices.size(); ++i) {
@@ -91,8 +93,10 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
     // the interleaved execution would have: group 0 chains on the home
     // SMX, surplus groups steal the momentarily least-loaded SMX.
     const double kernel_begin = ready;
-    ready = transport_.chargeKernelRounds(
-        p, dev, home_smx, outcome.round_group_cycles, ready, report);
+    ready = transport_.chargeKernelRounds(p, dev, home_smx,
+                                          outcome.round_group_cycles,
+                                          outcome.round_ends, ready,
+                                          report);
     if (trace_) {
         trace_->event(metrics::TraceEventType::Dispatch, trace_wave_, p,
                       kernel_begin, ready - kernel_begin,
@@ -110,8 +114,9 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
         changed = std::move(outcome.changed);
         if (ft_enabled_) {
             // The ordered path journals per replayed push; here the
-            // overlay entries ARE the pushed masters. (Lane runs exclude
-            // fault tolerance, so the scalar overlay is the only case.)
+            // overlay entries ARE the pushed masters (first-touch order;
+            // the journal is a set). (Lane runs exclude fault tolerance,
+            // so the scalar overlay is the only case.)
             for (const VertexId v : outcome.overlay.vertices)
                 plane_.markVertexDirty(v);
         }
@@ -134,6 +139,9 @@ DiGraphEngine::replayDispatch(DispatchOutcome &outcome,
     std::vector<PartitionId> activated_parts;
     sync_.fanOutChanged(plane_, p, changed, outcome.changed_lanes,
                         outcome.overlay, activated_parts);
+    // The overlay's last reader is done: free its dense-index entries
+    // for the next chunk's dispatches.
+    outcome.overlay.release();
     std::sort(activated_parts.begin(), activated_parts.end());
     activated_parts.erase(
         std::unique(activated_parts.begin(), activated_parts.end()),

@@ -25,6 +25,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -57,65 +59,148 @@ struct PathView
 };
 
 /**
- * Incremental dirty-slot worklist over a contiguous E_idx slot range
- * (one partition). mark() appends a slot on its first marking; drain
- * callers take the slot list (sorting it if a deterministic order is
- * required) and reset() clears the marks in O(marked). Replaces the
- * per-round full-range sweeps of the mirror-push phase.
+ * Bitmap over a contiguous index range [lo, hi) (one partition's E_idx
+ * slots or path ids) that yields its marked indexes in ascending order
+ * without sorting. mark() is idempotent, so the bitmap also dedupes.
+ * Only the span of words touched since the last drain/sweep is scanned,
+ * so a round that marks a few indexes of a large range costs O(span),
+ * not O(range).
  */
-class SlotDirtySet
+class RangeBitmap
 {
   public:
-    SlotDirtySet() = default;
+    RangeBitmap() = default;
 
-    /** Bind to slot range [lo, hi); clears any previous state. */
+    /** Bind to index range [lo, hi); clears any previous state. */
     void
     bind(std::uint64_t lo, std::uint64_t hi)
     {
         lo_ = lo;
-        marked_.assign(hi - lo, 0);
-        slots_.clear();
+        words_.assign((hi - lo + 63) / 64, 0);
+        first_ = words_.size();
+        end_ = 0;
     }
 
-    /** Mark @p slot (must be inside the bound range) dirty. */
+    /** Mark @p i (must be inside the bound range). */
     void
-    mark(std::uint64_t slot)
+    mark(std::uint64_t i)
     {
-        std::uint8_t &flag = marked_[slot - lo_];
-        if (!flag) {
-            flag = 1;
-            slots_.push_back(slot);
-        }
+        const std::size_t w = static_cast<std::size_t>((i - lo_) >> 6);
+        words_[w] |= std::uint64_t{1} << ((i - lo_) & 63);
+        if (w < first_)
+            first_ = w;
+        if (w >= end_)
+            end_ = w + 1;
     }
 
-    /** Slots marked since the last reset, in marking order. */
-    std::vector<std::uint64_t> &slots() { return slots_; }
+    /** Whether @p i is marked. */
+    bool
+    test(std::uint64_t i) const
+    {
+        return (words_[static_cast<std::size_t>((i - lo_) >> 6)] >>
+                ((i - lo_) & 63)) &
+               1;
+    }
 
-    /** Number of marked slots. */
-    std::size_t size() const { return slots_.size(); }
+    /** Append every marked index to @p out in ascending order and
+     *  unmark them all. */
+    void
+    drain(std::vector<std::uint64_t> &out)
+    {
+        for (std::size_t w = first_; w < end_; ++w) {
+            std::uint64_t bits = words_[w];
+            words_[w] = 0;
+            const std::uint64_t base = lo_ + (std::uint64_t{w} << 6);
+            while (bits) {
+                out.push_back(base +
+                              static_cast<std::uint64_t>(
+                                  std::countr_zero(bits)));
+                bits &= bits - 1;
+            }
+        }
+        first_ = words_.size();
+        end_ = 0;
+    }
 
-    /** Unmark everything (O(marked), not O(range)). */
+    /** Visit the marked indexes in ascending order; each one for which
+     *  @p keep returns false is unmarked. The touched span shrinks to
+     *  the words still holding marks. */
+    template <class Keep>
+    void
+    sweep(Keep &&keep)
+    {
+        std::size_t first = words_.size();
+        std::size_t end = 0;
+        for (std::size_t w = first_; w < end_; ++w) {
+            std::uint64_t bits = words_[w];
+            const std::uint64_t base = lo_ + (std::uint64_t{w} << 6);
+            while (bits) {
+                const std::uint64_t bit = bits & -bits;
+                bits &= bits - 1;
+                if (!keep(base + static_cast<std::uint64_t>(
+                                     std::countr_zero(bit))))
+                    words_[w] &= ~bit;
+            }
+            if (words_[w] != 0) {
+                first = std::min(first, w);
+                end = w + 1;
+            }
+        }
+        first_ = first;
+        end_ = end;
+    }
+
+    /** Unmark everything (O(touched span), not O(range)). */
     void
     reset()
     {
-        for (const std::uint64_t slot : slots_)
-            marked_[slot - lo_] = 0;
-        slots_.clear();
+        for (std::size_t w = first_; w < end_; ++w)
+            words_[w] = 0;
+        first_ = words_.size();
+        end_ = 0;
     }
 
-    /** Bytes of the bound range flags plus the current worklist. */
+    /** Number of marked indexes (O(touched span); tests). */
+    std::size_t
+    count() const
+    {
+        std::size_t n = 0;
+        for (std::size_t w = first_; w < end_; ++w)
+            n += static_cast<std::size_t>(std::popcount(words_[w]));
+        return n;
+    }
+
+    /** True when every mark lies inside the touched span (the scans
+     *  would otherwise miss it; tests). */
+    bool
+    spanCoversMarks() const
+    {
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            if (words_[w] != 0 && (w < first_ || w >= end_))
+                return false;
+        }
+        return true;
+    }
+
+    /** Bytes of the bitmap words. */
     std::size_t
     memoryBytes() const
     {
-        return marked_.size() * sizeof(std::uint8_t) +
-               slots_.size() * sizeof(std::uint64_t);
+        return words_.size() * sizeof(std::uint64_t);
     }
 
   private:
     std::uint64_t lo_ = 0;
-    std::vector<std::uint8_t> marked_;
-    std::vector<std::uint64_t> slots_;
+    std::vector<std::uint64_t> words_;
+    /** Touched word span [first_, end_); empty when first_ >= end_. */
+    std::size_t first_ = 0;
+    std::size_t end_ = 0;
 };
+
+/** Dirty-slot set of one partition's mirror-push phase: slots written
+ *  this local round, drained in ascending slot order (the merge order
+ *  a full slot-range sweep would produce). */
+using SlotDirtySet = RangeBitmap;
 
 /**
  * Immutable topology half of the four-array storage: PTable, E_idx and

@@ -4,6 +4,9 @@
  * paper's Figure 4 example layout.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
@@ -161,6 +164,94 @@ TEST(PathStorage, SlotAccessorsMatchViews)
         EXPECT_EQ(storage.vertexAt(s), storage.eIdx()[s]);
         EXPECT_EQ(storage.sVal(s), 1.5);
     }
+}
+
+TEST(SlotDirtySet, ScrambledMarksDrainAscendingOnce)
+{
+    // Range [1000, 1300): 300 slots, not a multiple of 64, starting off
+    // a word boundary.
+    SlotDirtySet dirty;
+    dirty.bind(1000, 1300);
+    const std::vector<std::uint64_t> marks = {1299, 1000, 1077, 1063, 1299,
+                                              1128, 1064, 1000, 1191, 1127};
+    for (const std::uint64_t s : marks)
+        dirty.mark(s);
+    std::vector<std::uint64_t> want(marks);
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    EXPECT_EQ(dirty.count(), want.size());
+    for (const std::uint64_t s : want)
+        EXPECT_TRUE(dirty.test(s)) << s;
+    EXPECT_FALSE(dirty.test(1001));
+
+    std::vector<std::uint64_t> got = {42}; // drain appends
+    dirty.drain(got);
+    want.insert(want.begin(), 42);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(dirty.count(), 0u);
+    EXPECT_TRUE(dirty.spanCoversMarks());
+
+    // Drained means empty: a second drain yields nothing, and the set is
+    // reusable.
+    got.clear();
+    dirty.drain(got);
+    EXPECT_TRUE(got.empty());
+    dirty.mark(1250);
+    dirty.drain(got);
+    EXPECT_EQ(got, std::vector<std::uint64_t>{1250});
+}
+
+TEST(SlotDirtySet, ResetAfterPartialMarking)
+{
+    SlotDirtySet dirty;
+    dirty.bind(0, 130);
+    for (const std::uint64_t s : {129ull, 3ull, 70ull})
+        dirty.mark(s);
+    dirty.reset();
+    EXPECT_EQ(dirty.count(), 0u);
+    EXPECT_TRUE(dirty.spanCoversMarks());
+    for (const std::uint64_t s : {129ull, 3ull, 70ull})
+        EXPECT_FALSE(dirty.test(s)) << s;
+    dirty.mark(64);
+    std::vector<std::uint64_t> got;
+    dirty.drain(got);
+    EXPECT_EQ(got, std::vector<std::uint64_t>{64});
+    // Binding again clears everything, including a different range.
+    dirty.mark(5);
+    dirty.bind(10, 20);
+    EXPECT_EQ(dirty.count(), 0u);
+    dirty.mark(19);
+    got.clear();
+    dirty.drain(got);
+    EXPECT_EQ(got, std::vector<std::uint64_t>{19});
+}
+
+TEST(RangeBitmap, SweepKeepsSelectedAndShrinksSpan)
+{
+    // The partition worklist: sweep visits ascending, drops the indexes
+    // the callback rejects, and later sweeps see only the survivors.
+    RangeBitmap bits;
+    bits.bind(7, 7 + 200);
+    for (const std::uint64_t i : {150ull, 8ull, 206ull, 71ull, 72ull})
+        bits.mark(i);
+    std::vector<std::uint64_t> seen;
+    bits.sweep([&](std::uint64_t i) {
+        seen.push_back(i);
+        return i == 72 || i == 150;
+    });
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 71, 72, 150, 206}));
+    EXPECT_EQ(bits.count(), 2u);
+    EXPECT_TRUE(bits.spanCoversMarks());
+    seen.clear();
+    bits.sweep([&](std::uint64_t i) {
+        seen.push_back(i);
+        return false;
+    });
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{72, 150}));
+    EXPECT_EQ(bits.count(), 0u);
+    bits.mark(7);
+    EXPECT_TRUE(bits.spanCoversMarks());
+    EXPECT_EQ(bits.count(), 1u);
 }
 
 } // namespace
